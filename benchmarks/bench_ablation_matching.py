@@ -2,8 +2,9 @@
 
 Paper claim: any weighted-perfect-matching sampler with per-draw TV error
 eps/(4 sqrt n log ell) keeps the walk correct (Lemma 4); the paper plugs
-in JSV+JVV. We ablate our three realizations -- exact class DP (default),
-exact self-reducible Ryser, Metropolis MCMC -- on an instance shaped like
+in JSV+JVV. We ablate three realizations -- the exact class DP (the one
+placement runs), and the exact self-reducible Ryser and Metropolis MCMC
+samplers kept as its test oracles -- on an instance shaped like
 the sampler's own placement step, measuring wall-clock and distributional
 agreement on the *contingency-table* projection (the statistic the walk
 reconstruction actually consumes; the finer within-class orderings are

@@ -1,20 +1,19 @@
-"""E22 (engine): ensemble throughput -- EnsembleEngine vs the seed loop.
+"""E22 (engine): ensemble throughput -- EnsembleEngine vs the uncached loop.
 
 The ROADMAP's hot-path target: ensemble workloads (uniformity audits,
 TV estimation, leverage marginals) draw hundreds of trees from one
-sampler. The seed architecture paid the full per-draw cost in a Python
-loop -- per-draw derived-graph rebuilds and the pure-Python contingency
-DP. The engine batches this: a cross-sample
-:class:`~repro.engine.cache.DerivedGraphCache`, the vectorized placement
-DP, and multi-process fan-out via
+sampler. A plain Python loop pays the full per-draw cost, rebuilding the
+derived graphs on every draw. The engine batches this: a cross-sample
+:class:`~repro.engine.cache.DerivedGraphCache` and multi-process
+fan-out via
 :meth:`~repro.engine.ensemble.EnsembleEngine.sample_ensemble`.
 
 Measured here, for n in {32, 64, 128} at 200 draws:
 
-- ``baseline``: the seed's ``sample_many`` loop, reconstructed faithfully
-  (per-draw numeric rebuilds via ``derived_cache=False`` and the original
-  DP via ``matching_method="exact-dp-reference"``), timed over a smaller
-  sample and reported as trees/second;
+- ``baseline``: the engine with the derived-graph cache off -- the
+  ``sample_many`` loop with per-draw numeric rebuilds
+  (``derived_cache=False``), timed over a smaller sample and reported
+  as trees/second;
 - ``single``: ``sample_ensemble(200, jobs=1)``;
 - ``multi``: ``sample_ensemble(200, jobs=2)`` (recorded even on 1-CPU
   hosts, where it only adds fork overhead).
@@ -28,10 +27,12 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import time
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from repro import graphs
 from repro.api import get_preset, preset_config
@@ -40,7 +41,7 @@ from repro.engine import EnsembleEngine
 
 NS = [32, 64, 128]
 DRAWS = 200
-BASELINE_DRAWS = 30  # seed loop is slow; rate extrapolates linearly
+BASELINE_DRAWS = 30  # uncached loop is slow; rate extrapolates linearly
 OUTPUT = Path(__file__).resolve().parent / "BENCH_ensemble_throughput.json"
 
 
@@ -49,12 +50,8 @@ def _graph(n: int) -> "graphs.WeightedGraph":
 
 
 def _baseline_rate(n: int) -> float:
-    """Trees/second of the seed-equivalent sample_many Python loop."""
-    config = preset_config(
-        "fast-audit",
-        derived_cache=False,
-        matching_method="exact-dp-reference",
-    )
+    """Trees/second of the sample_many loop with the derived cache off."""
+    config = preset_config("fast-audit", derived_cache=False)
     sampler = CongestedCliqueTreeSampler(_graph(n), config)
     rng = np.random.default_rng(77)
     start = time.perf_counter()
@@ -95,7 +92,12 @@ def test_ensemble_throughput(benchmark, report):
         "bench": "ensemble_throughput",
         "draws": DRAWS,
         "baseline_draws": BASELINE_DRAWS,
-        "cpu_count": os.cpu_count(),
+        "host": {
+            "nproc": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+        },
         "results": rows,
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
@@ -112,11 +114,11 @@ def test_ensemble_throughput(benchmark, report):
             f"{row['speedup_single_vs_baseline']:>7.2f}x"
         )
     lines.append(
-        "shape check: engine >= 2x the seed loop at n=64 (derived-graph "
-        "cache + vectorized placement DP), trees byte-identical across "
+        "shape check: engine >= 2x the uncached loop at n=64 (derived-graph "
+        "cache), trees byte-identical across "
         f"jobs counts; JSON at {OUTPUT.name}"
     )
-    report("E22 / ensemble throughput (engine vs seed loop)", lines)
+    report("E22 / ensemble throughput (engine vs uncached loop)", lines)
 
     for row in rows:
         assert row["identical_trees_across_jobs"], row["n"]

@@ -78,8 +78,8 @@ def _phase2_subset(graph: WeightedGraph) -> list[int]:
 
 def _build_numerics(graph: WeightedGraph, subset: list[int], backend) -> None:
     """One phase-2 derived-graph bundle: shortcut + Schur + ladder."""
-    shortcut = backend.shortcut_matrix(graph, subset)
-    transition, __ = backend.schur_transition(graph, subset, shortcut)
+    backend.shortcut_matrix(graph, subset)
+    transition, __ = backend.schur_transition(graph, subset)
     PowerLadder(transition, LADDER_ELL)
 
 

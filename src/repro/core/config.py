@@ -1,14 +1,12 @@
 """Configuration for the CongestedClique spanning-tree samplers.
 
 Every tunable the paper leaves as a parameter (epsilon, rho, the nominal
-walk length ell, numerical precision, which matching sampler realizes the
-JSV/JVV step) is surfaced here, with defaults matching the paper's choices
-for the approximate (Theorem 1) variant.
+walk length ell, numerical precision) is surfaced here, with defaults
+matching the paper's choices for the approximate (Theorem 1) variant.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Literal
 
@@ -16,12 +14,7 @@ from repro.errors import ConfigError
 
 __all__ = ["SamplerConfig"]
 
-MatchingMethod = Literal[
-    "exact-dp", "exact-dp-reference", "exact-permanent", "mcmc"
-]
 FailurePolicy = Literal["extend", "error"]
-SchurMethod = Literal["block", "qr-product"]
-ShortcutMethod = Literal["solve", "power-iteration"]
 PlacementMode = Literal["batched", "reference"]
 RngContract = Literal["v2", "v1"]
 
@@ -30,13 +23,21 @@ RngContract = Literal["v2", "v1"]
 class SamplerConfig:
     """Knobs for :class:`repro.core.sampler.CongestedCliqueTreeSampler`.
 
+    Each Outline 3 step runs one algorithm, so no field selects between
+    constructions: ``Schur(G, S)`` is the block elimination
+    (Corollary 3), ``ShortCut(G, S)`` the fundamental-matrix solve
+    (Corollary 2), and midpoint placement the exact class-compressed
+    matching DP (Lemma 3). The paper's alternates -- the QR-product
+    Schur, the power-iteration shortcut, Ryser and Metropolis matching
+    samplers -- survive as plain functions that tests compare against.
+
     Attributes
     ----------
     epsilon:
         Target total variation distance from uniform (the paper allows
-        any ``eps = Omega(1/n^c)``). Drives the nominal walk length and
-        the per-level matching-sampler accuracy budget
-        ``eps / (4 sqrt(n) log ell)``.
+        any ``eps = Omega(1/n^c)``). Drives the nominal walk length; the
+        matching step needs no share of the budget because the class DP
+        samples the Lemma 3 law exactly.
     rho:
         Distinct vertices visited per phase. ``None`` uses the variant
         default: ``floor(sqrt(n))`` for the approximate sampler (Section
@@ -57,15 +58,6 @@ class SamplerConfig:
         current endpoint with a fresh target. ``"error"`` raises, exposing
         the paper's Monte-Carlo failure event (probability <= eps/2 with
         the paper's ell).
-    matching_method:
-        How the weighted-perfect-matching placement step samples:
-        ``"exact-dp"`` (class-compressed exact sampler; default),
-        ``"exact-dp-reference"`` (same law via the original pure-Python
-        DP; baseline for A/B benchmarks),
-        ``"exact-permanent"`` (self-reducible Ryser; small instances),
-        ``"mcmc"`` (Metropolis chain -- the approximate path of Lemma 4).
-    mcmc_steps:
-        Proposal count for the MCMC matching sampler (``None``: 10 * B^3).
     placement_mode:
         How the walk layer executes midpoint placement. ``"batched"``
         (default) runs each phase over a
@@ -103,9 +95,6 @@ class SamplerConfig:
         Entry precision for matrix power ladders. ``None`` = full float64
         (the exact-arithmetic idealization); an integer activates the
         Lemma 7 truncation pipeline of Section 2.5.
-    schur_method / shortcut_method:
-        Which construction computes the derived graphs each phase; the
-        alternatives cross-validate each other (Corollaries 2-3).
     matmul_backend:
         ``"analytic"`` (default) charges O~(n^alpha) per multiplication
         as the paper does with the [17] black box; ``"simulated-3d"``
@@ -176,13 +165,9 @@ class SamplerConfig:
     rho: int | None = None
     ell: int | None = None
     on_failure: FailurePolicy = "extend"
-    matching_method: MatchingMethod = "exact-dp"
-    mcmc_steps: int | None = None
     placement_mode: PlacementMode = "batched"
     rng_contract: RngContract = "v2"
     precision_bits: int | None = None
-    schur_method: SchurMethod = "block"
-    shortcut_method: ShortcutMethod = "solve"
     matmul_backend: Literal["analytic", "simulated-3d"] = "analytic"
     linalg_backend: Literal["auto", "dense", "sparse"] = "auto"
     sparse_auto_min_n: int = 192
@@ -209,12 +194,6 @@ class SamplerConfig:
                 )
         if self.on_failure not in ("extend", "error"):
             raise ConfigError(f"unknown failure policy {self.on_failure!r}")
-        if self.matching_method not in (
-            "exact-dp", "exact-dp-reference", "exact-permanent", "mcmc"
-        ):
-            raise ConfigError(
-                f"unknown matching method {self.matching_method!r}"
-            )
         if self.placement_mode not in ("batched", "reference"):
             raise ConfigError(
                 f"unknown placement mode {self.placement_mode!r}"
@@ -226,12 +205,6 @@ class SamplerConfig:
         if self.precision_bits is not None and self.precision_bits < 8:
             raise ConfigError(
                 f"precision_bits must be >= 8, got {self.precision_bits}"
-            )
-        if self.schur_method not in ("block", "qr-product"):
-            raise ConfigError(f"unknown schur method {self.schur_method!r}")
-        if self.shortcut_method not in ("solve", "power-iteration"):
-            raise ConfigError(
-                f"unknown shortcut method {self.shortcut_method!r}"
             )
         if self.matmul_backend not in ("analytic", "simulated-3d"):
             raise ConfigError(
@@ -334,15 +307,6 @@ class SamplerConfig:
         from repro.graphs.covertime import nominal_walk_length
 
         return nominal_walk_length(n, self.epsilon)
-
-    def matching_tv_budget(self, n: int, ell: int) -> float:
-        """Per-sample TV budget for the matching sampler (Section 2.1.3).
-
-        The paper allots ``eps / (4 sqrt(n) log ell)`` to each of the
-        O(sqrt(n) log ell) perfect-matching draws so the union bound over
-        all levels and phases stays at O(eps).
-        """
-        return self.epsilon / (4.0 * math.sqrt(n) * max(1.0, math.log2(ell)))
 
     def normalizer_floor(self, n: int) -> float:
         """Section 5.2's lower bound ``1 / n^c`` on midpoint normalizers."""

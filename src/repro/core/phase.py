@@ -160,10 +160,7 @@ def _segment_fill(
         else:
             walk = place_midpoints(
                 view, t_star, half_power, rng,
-                method=config.matching_method,
-                mcmc_steps=config.mcmc_steps,
-                clique=clique,
-                plan=plan, level=half, contract=contract,
+                clique=clique, plan=plan, level=half, contract=contract,
             )
         stats.levels += 1
     return list(walk.vertices)

@@ -14,10 +14,13 @@ midpoint positions of the truncated prefix. Receiving the sequences
    position between the pair (p, q). Lemma 3: matching weight is
    proportional to the probability of the induced placement.
 
-:func:`place_midpoints` implements this with any of the configured
-matching samplers; :func:`place_by_pair_multisets` implements the exact
-variant's placement (Appendix 5.3), where each pair's multiset is shuffled
-uniformly -- no matching sampler (and hence no sampling error) at all.
+:func:`place_midpoints` samples that matching exactly with the
+class-compressed contingency DP of :mod:`repro.matching.sampler` (TV error
+0 in place of the paper's JSV + JVV pipeline; the Ryser and Metropolis
+samplers there are test oracles, not placement paths).
+:func:`place_by_pair_multisets` implements the exact variant's placement
+(Appendix 5.3), where each pair's multiset is shuffled uniformly -- no
+matching sampler at all.
 """
 
 from __future__ import annotations
@@ -35,8 +38,6 @@ from repro.matching.sampler import (
     ClassifiedBipartite,
     expand_table_to_assignment,
     sample_assignment_by_classes,
-    sample_matching_exact,
-    sample_matching_mcmc,
 )
 from repro.walks.fill import PartialWalk
 
@@ -102,8 +103,6 @@ def place_midpoints(
     half_power,
     rng: np.random.Generator,
     *,
-    method: str = "exact-dp",
-    mcmc_steps: int | None = None,
     clique: CongestedClique | None = None,
     plan=None,
     level: int | None = None,
@@ -112,14 +111,8 @@ def place_midpoints(
     """Sample the placement of the collected multiset (Section 2.1.3).
 
     Returns the next partial walk ``W_{i+1}`` (spacing halved, truncated
-    at ``t*``). ``method`` selects the matching sampler; ``"mcmc"`` starts
-    its chain from the *true* placement (known to the simulator), which
-    guarantees a feasible positive-weight initial state -- and, since
-    that state is itself distributed per the target law given the
-    multiset, leaves the chain stationary from step 0: the simulated
-    MCMC path is statistically exact at any proposal budget. (A real
-    deployment starts cold and needs the Lemma 4 budget; cold-start
-    mixing is what the matching-sampler unit tests exercise.)
+    at ``t*``), with the non-final midpoints placed by an exact
+    weight-proportional matching sample.
 
     ``plan``/``level`` activate the batched engine
     (:class:`~repro.core.placement_plan.PlacementPlan`): weight columns
@@ -196,9 +189,7 @@ def place_midpoints(
         distinct += len(row_labels) + 1
         _charge_submatrix(clique, distinct)
         per_class = _sample_assignment(
-            instance, view, positions, pair_for_position, rng,
-            method=method, mcmc_steps=mcmc_steps,
-            plan=plan if batched else None, contract=contract,
+            instance, rng, plan=plan if batched else None, contract=contract
         )
         # Hand the sampled labels to positions class by class, in
         # chronological order within each class.
@@ -214,117 +205,33 @@ def place_midpoints(
 
 def _sample_assignment(
     instance: ClassifiedBipartite,
-    view: LevelView,
-    positions: list[int],
-    pair_for_position: dict[int, Pair],
     rng: np.random.Generator,
     *,
-    method: str,
-    mcmc_steps: int | None,
     plan=None,
     contract: str = "v1",
 ) -> list[list[int]]:
-    """Dispatch to the configured matching sampler; returns per-column-class
-    label lists (chronological within class)."""
-    if method == "exact-permanent" and instance.size > 16:
-        # Ryser permanents are exponential in the instance size; beyond
-        # ~16 midpoints switch to the class DP, which samples the exact
-        # same law in polynomial time.
-        method = "exact-dp"
-    if method in ("exact-dp", "exact-dp-reference"):
-        implementation = (
-            "reference" if method == "exact-dp-reference" else "auto"
-        )
-        if plan is not None:
-            # Batched engine: the deterministic DP build is shared across
-            # isomorphic instances via the plan; only the sampling pass
-            # (and the uniform within-class expansion) consumes the rng,
-            # in exactly the per-instance order of the planless path.
-            prepared = plan.prepared_dp(instance, implementation)
-            if not prepared.consumes_rng:
-                table = prepared.sample()
-            elif contract == "v2":
-                # Block contract: one uniform vector per table draw,
-                # resolved column by column against the prepared CDFs.
-                table = prepared.sample_block(rng)
-            else:
-                table = prepared.sample(rng)
-            return [
-                [int(x) for x in labels]
-                for labels in expand_table_to_assignment(
-                    instance, table, rng, rng_contract=contract
-                )
-            ]
-        return [
-            [int(x) for x in labels]
-            for labels in sample_assignment_by_classes(
-                instance, rng, implementation=implementation
-            )
-        ]
-    # The expanded-matrix samplers need explicit row/column expansions.
-    expanded = instance.expanded_weights()
-    col_classes = list(instance.col_labels)
-    expanded_rows: list[int] = []
-    for label, count in zip(instance.row_labels, instance.row_counts):
-        expanded_rows.extend([int(label)] * count)
-    expanded_cols: list[Pair] = []
-    for label, count in zip(instance.col_labels, instance.col_counts):
-        expanded_cols.extend([label] * count)
-
-    if method == "exact-permanent":
-        assignment = sample_matching_exact(expanded, rng)
-    elif method == "mcmc":
-        initial = _true_initial_permutation(
-            view, positions, pair_for_position, expanded_rows, expanded_cols
-        )
-        assignment = sample_matching_mcmc(
-            expanded, steps=mcmc_steps, rng=rng, initial=initial
-        )
+    """Exact matching sample as per-column-class label lists
+    (chronological within class)."""
+    if plan is None:
+        per_class = sample_assignment_by_classes(instance, rng)
     else:
-        raise SamplingError(f"unknown matching method {method!r}")
-
-    per_class: list[list[int]] = [[] for _ in col_classes]
-    # assignment[i] = column of expanded row i; invert to column -> label.
-    label_of_column = {col: expanded_rows[row] for row, col in enumerate(assignment)}
-    for col_index, pair in enumerate(expanded_cols):
-        per_class[col_classes.index(pair)].append(label_of_column[col_index])
-    return per_class
-
-
-def _true_initial_permutation(
-    view: LevelView,
-    positions: list[int],
-    pair_for_position: dict[int, Pair],
-    expanded_rows: list[int],
-    expanded_cols: list[Pair],
-) -> list[int]:
-    """The placement actually generated by the Pi sequences, expressed as a
-    permutation of the expanded instance (a guaranteed-feasible MCMC start)."""
-    # True label of each expanded column, in expanded-column order.
-    class_streams: dict[Pair, list[int]] = {}
-    for t in positions:
-        class_streams.setdefault(pair_for_position[t], []).append(
-            view.value_at(t)
+        # Batched engine: the deterministic DP build is shared across
+        # isomorphic instances via the plan; only the sampling pass (and
+        # the uniform within-class expansion) consumes the rng, in
+        # exactly the per-instance order of the planless path.
+        prepared = plan.prepared_dp(instance)
+        if not prepared.consumes_rng:
+            table = prepared.sample()
+        elif contract == "v2":
+            # Block contract: one uniform vector per table draw,
+            # resolved column by column against the prepared CDFs.
+            table = prepared.sample_block(rng)
+        else:
+            table = prepared.sample(rng)
+        per_class = expand_table_to_assignment(
+            instance, table, rng, rng_contract=contract
         )
-    cursors = {pair: 0 for pair in class_streams}
-    true_labels: list[int] = []
-    for pair in expanded_cols:
-        stream = class_streams[pair]
-        true_labels.append(stream[cursors[pair]])
-        cursors[pair] += 1
-    # Greedily match expanded rows (by label) to columns needing that label.
-    waiting: dict[int, list[int]] = {}
-    for col, label in enumerate(true_labels):
-        waiting.setdefault(label, []).append(col)
-    permutation: list[int] = []
-    for label in expanded_rows:
-        queue = waiting.get(label)
-        if not queue:
-            raise SamplingError(
-                "true placement inconsistent with collected multiset"
-            )
-        permutation.append(queue.pop())
-    return permutation
+    return [[int(x) for x in labels] for labels in per_class]
 
 
 def place_by_pair_multisets(

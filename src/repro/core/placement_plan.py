@@ -15,7 +15,7 @@ per-phase memo that exploits this split:
   segment, and ensemble draw that meets the pair again. The cached
   vector is the bit-exact product the per-pair path computes, so
   consumers draw from byte-identical probabilities.
-- ``prepared_dp(instance, implementation)`` -- the built (deterministic)
+- ``prepared_dp(instance)`` -- the built (deterministic)
   half of the contingency DP, keyed by
   :func:`~repro.matching.sampler.instance_digest`; isomorphic
   :class:`~repro.matching.sampler.ClassifiedBipartite` instances across
@@ -127,7 +127,7 @@ class PlacementPlan:
         # Cumulative companions of _laws entries (v2 contract): cumsum of
         # the unnormalized law, evicted together with the law.
         self._cdfs: dict[tuple[int, int, int], np.ndarray] = {}
-        self._dps: OrderedDict[tuple[str, str], object] = OrderedDict()
+        self._dps: OrderedDict[str, object] = OrderedDict()
         # Persisted-but-not-yet-rebuilt contingency-DP CDF tables, keyed
         # by instance digest (loaded from plan.npz; consumed lazily when
         # prepared_dp meets the digest), and per-digest use counters that
@@ -257,22 +257,19 @@ class PlacementPlan:
 
     # -- prepared contingency DPs ----------------------------------------
 
-    def prepared_dp(
-        self, instance: ClassifiedBipartite, implementation: str = "auto"
-    ):
+    def prepared_dp(self, instance: ClassifiedBipartite):
         """The built contingency DP for ``instance`` (shared across draws).
 
-        Keyed by the instance's content digest plus the requested
-        evaluator, so isomorphic instances (equal counts and weights,
-        any labels) resolve to one forward/backward pass. The returned
-        object's ``sample(rng)`` is the only randomness-consuming step.
+        Keyed by the instance's content digest, so isomorphic instances
+        (equal counts and weights, any labels) resolve to one
+        forward/backward pass. The returned object's ``sample(rng)`` is
+        the only randomness-consuming step.
         """
         digest = instance_digest(instance)
-        key = (digest, implementation)
         self._dp_use[digest] = self._dp_use.get(digest, 0) + 1
-        hit = self._dps.get(key)
+        hit = self._dps.get(digest)
         if hit is not None:
-            self._dps.move_to_end(key)
+            self._dps.move_to_end(digest)
             self.dp_hits += 1
             if getattr(hit, "cdf_memo_dirty", False):
                 # The evaluator grew its persisted-CDF memo since the
@@ -287,21 +284,17 @@ class PlacementPlan:
             # A restarted process meets a digest whose CDF tables rode in
             # with plan.npz: serve block draws from the seeded memo and
             # defer the forward/backward build until a state miss.
-            prepared = restore_prepared_vectorized(
-                instance, seed, implementation=implementation
-            )
+            prepared = restore_prepared_vectorized(instance, seed)
             if prepared is not None:
                 del self._dp_seeds[digest]
         if prepared is None:
             prepared = prepare_contingency_dp(
-                instance,
-                implementation=implementation,
-                comp_memo=self._comp_memo,
+                instance, comp_memo=self._comp_memo
             )
         if len(self._dps) >= self.max_dps:
             self._dps.popitem(last=False)
             self.evicted += 1
-        self._dps[key] = prepared
+        self._dps[digest] = prepared
         return prepared
 
     # -- first-visit edge distributions ----------------------------------
@@ -425,9 +418,9 @@ class PlacementPlan:
         candidates: dict[
             str, dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
         ] = {}
-        for (digest, __), prepared in self._dps.items():
+        for digest, prepared in self._dps.items():
             exporter = getattr(prepared, "export_cdf_entries", None)
-            if exporter is None or digest in candidates:
+            if exporter is None:
                 continue
             entries = exporter()
             if entries:

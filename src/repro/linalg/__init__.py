@@ -5,10 +5,11 @@ computation of the derived graphs) and Lemma 7 (matrix powers with bounded
 subtractive error):
 
 - :mod:`repro.linalg.schur` -- ``Schur(G, S)`` (Definitions 1 and 2) via
-  block elimination, single-vertex elimination, and the Corollary-3
-  QR-product construction;
+  block elimination (the sampler's path), with single-vertex elimination
+  and the Corollary-3 QR-product construction as test oracles;
 - :mod:`repro.linalg.shortcut` -- ``ShortCut(G, S)`` (Definition 3) via
-  the fundamental matrix and via Corollary 2's absorbing power iteration;
+  the fundamental matrix (the sampler's path), with Corollary 2's
+  absorbing power iteration as a test oracle;
 - :mod:`repro.linalg.matpow` -- the repeated-squaring power ladder with
   per-squaring entry rounding and the Lemma 7 error recurrence;
 - :mod:`repro.linalg.backend` -- the sparse/dense dual-backend dispatch

@@ -167,28 +167,16 @@ class DenseLinalg:
         """The phase-1 walk matrix (a private dense copy)."""
         return graph.transition_matrix().copy()
 
-    def shortcut_matrix(
-        self, graph, subset, *, method: str = "solve", beta: float = 1e-12
-    ):
-        """``ShortCut(G, S)`` via the configured construction."""
-        from repro.linalg.shortcut import (
-            shortcut_transition_matrix,
-            shortcut_via_power_iteration,
-        )
+    def shortcut_matrix(self, graph, subset):
+        """``ShortCut(G, S)`` via the fundamental-matrix solve."""
+        from repro.linalg.shortcut import shortcut_transition_matrix
 
-        if method == "power-iteration":
-            return shortcut_via_power_iteration(graph, subset, beta=beta)
         return shortcut_transition_matrix(graph, subset)
 
-    def schur_transition(self, graph, subset, shortcut, *, method: str = "block"):
-        """``Schur(G, S)`` transition matrix via the configured construction."""
-        from repro.linalg.schur import (
-            schur_transition_matrix,
-            schur_via_qr_product,
-        )
+    def schur_transition(self, graph, subset):
+        """``Schur(G, S)`` transition matrix via block elimination."""
+        from repro.linalg.schur import schur_transition_matrix
 
-        if method == "qr-product":
-            return schur_via_qr_product(graph, subset, shortcut_matrix=shortcut)
         return schur_transition_matrix(graph, subset)
 
 
@@ -208,28 +196,14 @@ class SparseLinalg:
         """Phase-1 walk matrix as CSR (entries identical to the dense P)."""
         return _sp.csr_array(graph.transition_matrix())
 
-    def shortcut_matrix(
-        self, graph, subset, *, method: str = "solve", beta: float = 1e-12
-    ):
-        from repro.linalg.sparse import (
-            sparse_shortcut_matrix,
-            sparse_shortcut_via_power_iteration,
-        )
+    def shortcut_matrix(self, graph, subset):
+        from repro.linalg.sparse import sparse_shortcut_matrix
 
-        if method == "power-iteration":
-            return sparse_shortcut_via_power_iteration(graph, subset, beta=beta)
         return sparse_shortcut_matrix(graph, subset)
 
-    def schur_transition(self, graph, subset, shortcut, *, method: str = "block"):
-        from repro.linalg.sparse import (
-            sparse_schur_transition,
-            sparse_schur_via_qr_product,
-        )
+    def schur_transition(self, graph, subset):
+        from repro.linalg.sparse import sparse_schur_transition
 
-        if method == "qr-product":
-            return sparse_schur_via_qr_product(
-                graph, subset, shortcut_matrix=shortcut
-            )
         return sparse_schur_transition(graph, subset)
 
 

@@ -23,6 +23,8 @@ Three independent constructions are provided and cross-validated in tests:
 
 :func:`first_hit_distribution` computes Definition 2 directly from an
 absorbing chain and is the semantic ground truth for all of the above.
+The sampler builds its Schur walks with :func:`schur_transition_matrix`
+(block elimination); the other constructions are test oracles.
 """
 
 from __future__ import annotations

@@ -20,6 +20,9 @@ Two constructions:
   construction: a 2n-vertex auxiliary absorbing chain R whose limit
   ``R^inf[u', v'']`` equals ``Q[u, v]``, approximated by repeated squaring
   to subtractive error beta.
+
+The sampler uses the exact construction; the power iteration is a test
+oracle for it.
 """
 
 from __future__ import annotations

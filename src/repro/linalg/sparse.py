@@ -56,10 +56,8 @@ except ImportError:  # pragma: no cover
 
 __all__ = [
     "sparse_shortcut_matrix",
-    "sparse_shortcut_via_power_iteration",
     "sparse_schur_complement_laplacian",
     "sparse_schur_transition",
-    "sparse_schur_via_qr_product",
 ]
 
 
@@ -144,58 +142,6 @@ def sparse_shortcut_matrix(graph: WeightedGraph, subset: Sequence[int]):
             "some vertex"
         )
     return _scale_rows(q, row_sums)
-
-
-def sparse_shortcut_via_power_iteration(
-    graph: WeightedGraph,
-    subset: Sequence[int],
-    *,
-    beta: float = 1e-12,
-    max_squarings: int = 128,
-):
-    """Corollary 2's 2n-state squaring iteration over CSR storage.
-
-    Mirrors :func:`repro.linalg.shortcut.shortcut_via_power_iteration`
-    but keeps the auxiliary chain sparse, densifying only if repeated
-    squaring fills it in past the backend's fill threshold.
-    """
-    _require_scipy()
-    from repro.linalg.backend import is_sparse_matrix, maybe_densify, to_dense
-
-    if not (0 < beta < 1):
-        raise GraphError(f"beta must be in (0, 1), got {beta}")
-    n = graph.n
-    s = _validate_subset(n, subset)
-    mask = np.zeros(n, dtype=bool)
-    mask[s] = True
-    transition = graph.transition_matrix()
-    into_s = transition[:, mask].sum(axis=1)
-    # Assemble the 2n-state chain blockwise in sparse form (walk block
-    # with S-columns zeroed, absorption diagonal, absorbed identity) --
-    # never materializing the dense 2n x 2n array the reference
-    # construction fills in.
-    walk_block = sp.csr_array(np.where(mask[None, :], 0.0, transition))
-    absorb = sp.dia_array((into_s[None, :], [0]), shape=(n, n))
-    current = sp.csr_array(
-        sp.block_array(
-            [[walk_block, absorb], [None, sp.eye_array(n)]], format="csr"
-        )
-    )
-    for _ in range(max_squarings):
-        squared = current @ current
-        delta = abs(squared - current)
-        gap = delta.max() if is_sparse_matrix(delta) else np.max(delta)
-        current = maybe_densify(squared)
-        if gap <= beta:
-            break
-    dense = to_dense(current)
-    q = dense[:n, n:]
-    row_sums = q.sum(axis=1)
-    if np.any(row_sums < 0.5):
-        raise GraphError(
-            "power iteration failed to absorb; is S reachable everywhere?"
-        )
-    return sp.csr_array(q / row_sums[:, None])
 
 
 # ----------------------------------------------------------------------
@@ -284,62 +230,3 @@ def sparse_schur_transition(graph: WeightedGraph, subset: Sequence[int]):
             transition[idx, idx] = 1.0
         transition = sp.csr_array(transition)
     return transition, s
-
-
-def sparse_schur_via_qr_product(
-    graph: WeightedGraph,
-    subset: Sequence[int],
-    shortcut_matrix=None,
-):
-    """Corollary 3's ``QR``-product Schur construction over CSR storage.
-
-    ``R`` is assembled directly in sparse form (its rows have support
-    only on S-neighborhoods), the product stays sparse, and the row
-    normalization ``M_u = 1 / (1 - (QR)[u, u])`` is applied vectorized
-    via a diagonal scaling instead of a per-row Python loop.
-    """
-    _require_scipy()
-    n = graph.n
-    s = _validate_subset(n, subset)
-    if shortcut_matrix is None:
-        shortcut_matrix = sparse_shortcut_matrix(graph, s)
-    elif not sp.issparse(shortcut_matrix):
-        shortcut_matrix = sp.csr_array(np.asarray(shortcut_matrix))
-    weights = graph.weights
-    in_s = np.zeros(n, dtype=bool)
-    in_s[s] = True
-    weight_into_s = weights[:, in_s].sum(axis=1)
-    s_arr = np.asarray(s)
-
-    # R row u: w(u, v) / w_S(u) over S-neighbors v, or the identity when
-    # u has no weight into S. Assembled fully vectorized: scale the
-    # n x |S| weight block row-wise, scatter its CSR columns back to the
-    # global vertex ids, then add the identity rows.
-    has_s = weight_into_s > 0
-    divisors = np.where(has_s, weight_into_s, 1.0)
-    block = sp.csr_array(
-        np.where(has_s[:, None], weights[:, s_arr] / divisors[:, None], 0.0)
-    )
-    r = sp.csr_array(
-        (block.data, s_arr[block.indices], block.indptr), shape=(n, n)
-    )
-    if np.any(~has_s):
-        stranded = np.flatnonzero(~has_s)
-        r = sp.csr_array(
-            r
-            + sp.csr_array(
-                (np.ones(stranded.size), (stranded, stranded)), shape=(n, n)
-            )
-        )
-    qr = sp.csr_array(shortcut_matrix @ r)
-    sub = sp.csr_array(qr[s_arr, :][:, s_arr])
-    stay = sub.diagonal()
-    if np.any(stay >= 1.0 - 1e-12):
-        offender = s[int(np.argmax(stay))]
-        raise GraphError(
-            f"vertex {offender} never reaches S \\ {{itself}}; "
-            "Schur transition undefined"
-        )
-    sub.setdiag(0.0)
-    sub.eliminate_zeros()
-    return _scale_rows(sub, 1.0 - stay), s

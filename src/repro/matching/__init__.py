@@ -7,19 +7,19 @@ is the permanent of B's biadjacency matrix. The paper invokes the
 Jerrum-Sinclair-Vigoda permanent FPRAS [46] plus the Jerrum-Valiant-
 Vazirani sampling-from-counting reduction [47].
 
-We provide three interchangeable samplers (see DESIGN.md section 1 for the
-substitution argument):
+Placement uses one sampler, exact by construction (see DESIGN.md
+section 1 for the substitution argument):
+:class:`~repro.matching.sampler.ClassifiedBipartite` +
+:func:`~repro.matching.sampler.sample_assignment_by_classes` exploit B's
+class structure (rows/columns with identical weight profiles) through a
+contingency-table DP. Two general samplers stay as test oracles for its
+law:
 
 - :func:`~repro.matching.sampler.sample_matching_exact` -- exact
   self-reducible sampling with Ryser permanents (small instances);
-- :class:`~repro.matching.sampler.ClassifiedBipartite` +
-  :func:`~repro.matching.sampler.sample_assignment_by_classes` -- exact
-  sampling exploiting B's class structure (rows/columns with identical
-  weight profiles), the library default;
 - :func:`~repro.matching.sampler.sample_matching_mcmc` -- a Metropolis
-  chain over permutations, the polynomial-time approximate stand-in that
-  exercises the paper's "approximate sampler + union bound" analysis
-  (Lemma 4).
+  chain over permutations, the polynomial-time approximate sampler of
+  the paper's "approximate sampler + union bound" analysis (Lemma 4).
 """
 
 from repro.matching.permanent import (

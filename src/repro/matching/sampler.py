@@ -13,10 +13,11 @@ a contingency table. :func:`sample_contingency_table` samples that table
 :func:`repro.matching.permanent.permanent_class_dp`), and
 :func:`expand_table_to_assignment` turns the table into a concrete
 assignment by uniform multiset permutations -- together an exact (TV error
-0) replacement for the paper's JSV + JVV pipeline. The general-purpose
-:func:`sample_matching_exact` (self-reducible Ryser) and
-:func:`sample_matching_mcmc` (Metropolis) are provided for validation and
-for the approximate-sampler code path of Lemma 4.
+0) replacement for the paper's JSV + JVV pipeline, and the only matching
+sampler placement uses. The general-purpose :func:`sample_matching_exact`
+(self-reducible Ryser) and :func:`sample_matching_mcmc` (Metropolis, the
+approximate sampler of Lemma 4) are test oracles: tests check the class
+DP's law against them, and nothing in the library calls them.
 
 The DP is split into a deterministic *build* (feasibility, composition
 tables, forward reachability, backward log-partition values -- no
@@ -25,7 +26,12 @@ randomness) and a cheap randomness-consuming *sampling pass*:
 workloads (:class:`repro.core.placement_plan.PlacementPlan`) can reuse
 one build across every draw that meets an isomorphic instance
 (:func:`instance_digest`); :func:`sample_contingency_table` is the
-one-shot composition of the two.
+one-shot composition of the two. The build picks its evaluator from the
+instance: a closed form for single-row/column instances, the pure-Python
+suffix recursion (:class:`_PreparedReference`) for small instances and
+state spaces past int64 radix encoding, and the layered numpy DP
+(:class:`_PreparedVectorized`) otherwise. Both DP evaluators sample the
+same law with the same option order.
 
 Prepared evaluators expose two sampling passes over the identical law:
 
@@ -818,10 +824,17 @@ def _lookup(
     return np.where(found, layer_values[index], -np.inf)
 
 
+def _radix_overflows(instance: ClassifiedBipartite) -> bool:
+    """True when the remaining-count states do not fit an int64 radix code."""
+    state_space = 1
+    for count in instance.row_counts:
+        state_space *= int(count) + 1
+    return state_space >= (1 << 62)
+
+
 def prepare_contingency_dp(
     instance: ClassifiedBipartite,
     *,
-    implementation: str = "auto",
     comp_memo: dict | None = None,
 ):
     """Build the deterministic half of the contingency DP for reuse.
@@ -833,32 +846,20 @@ def prepare_contingency_dp(
     (counts, weights) instance; that reuse is the core of the batched
     placement engine (see :class:`repro.core.placement_plan.PlacementPlan`).
 
-    ``implementation`` dispatch matches :func:`sample_contingency_table`:
-    ``"auto"`` picks closed form / pure Python / layered numpy by
-    instance shape, ``"vectorized"`` and ``"reference"`` pin an
-    evaluator. A state space too large to encode in int64 falls back to
-    the reference recursion, which only materializes reachable states
-    lazily -- checked *before* enumerating per-column composition
-    tables, whose size grows with the same combinatorics. ``comp_memo``
-    optionally shares a plan-scope composition memo between reference
-    builds.
+    The evaluator follows the instance: the closed form for
+    single-row/column instances, the pure-Python recursion for small
+    general instances (numpy overhead beats Python only once instances
+    carry roughly > 6 midpoints), and the layered numpy DP for everything
+    else. A state space too large to encode in int64 falls back to the
+    recursion, which only materializes reachable states lazily --
+    checked *before* enumerating per-column composition tables, whose
+    size grows with the same combinatorics. ``comp_memo`` optionally
+    shares a plan-scope composition memo between recursive builds.
     """
-    if implementation == "auto":
-        trivial = _trivial_table(instance)
-        if trivial is not None:
-            return _PreparedTrivial(trivial)
-        if instance.size <= _SMALL_INSTANCE_SIZE:
-            return _PreparedReference(instance, comp_memo)
-    elif implementation == "reference":
-        return _PreparedReference(instance, comp_memo)
-    elif implementation != "vectorized":
-        raise MatchingError(
-            f"unknown contingency DP implementation {implementation!r}"
-        )
-    state_space = 1
-    for count in instance.row_counts:
-        state_space *= int(count) + 1
-    if state_space >= (1 << 62):
+    trivial = _trivial_table(instance)
+    if trivial is not None:
+        return _PreparedTrivial(trivial)
+    if instance.size <= _SMALL_INSTANCE_SIZE or _radix_overflows(instance):
         return _PreparedReference(instance, comp_memo)
     return _PreparedVectorized(instance)
 
@@ -866,8 +867,6 @@ def prepare_contingency_dp(
 def restore_prepared_vectorized(
     instance: ClassifiedBipartite,
     entries: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]],
-    *,
-    implementation: str = "auto",
 ):
     """A build-deferred vectorized evaluator seeded from persisted CDFs.
 
@@ -880,17 +879,11 @@ def restore_prepared_vectorized(
     ``sample`` call), which is what makes a restart's first warm draw
     cheap.
     """
-    if implementation not in ("auto", "vectorized"):
-        return None
-    if implementation == "auto":
-        if _trivial_table(instance) is not None:
-            return None
-        if instance.size <= _SMALL_INSTANCE_SIZE:
-            return None
-    state_space = 1
-    for count in instance.row_counts:
-        state_space *= int(count) + 1
-    if state_space >= (1 << 62):
+    if (
+        _trivial_table(instance) is not None
+        or instance.size <= _SMALL_INSTANCE_SIZE
+        or _radix_overflows(instance)
+    ):
         return None
     return _PreparedVectorized.from_cdf_seed(instance, entries)
 
@@ -898,8 +891,6 @@ def restore_prepared_vectorized(
 def sample_contingency_table(
     instance: ClassifiedBipartite,
     rng: np.random.Generator | None = None,
-    *,
-    implementation: str = "auto",
 ) -> np.ndarray:
     """Exactly sample the class-contingency table of a weighted matching.
 
@@ -913,37 +904,13 @@ def sample_contingency_table(
 
     where Z is the memoized suffix partition function.
 
-    ``implementation`` selects the evaluator -- all sample the same law:
-
-    - ``"auto"`` (default): closed form for single-row/column instances,
-      the pure-Python recursion for small general instances, and the
-      layered numpy DP for everything else (numpy overhead beats Python
-      only once instances carry roughly > 6 midpoints);
-    - ``"vectorized"``: always the layered numpy DP;
-    - ``"reference"``: always the original pure-Python DP (seed-faithful
-      baseline for benchmarks and cross-validation).
-
     One-shot convenience over :func:`prepare_contingency_dp` + sample;
     batch workloads keep the prepared object and sample it repeatedly.
     """
-    prepared = prepare_contingency_dp(instance, implementation=implementation)
+    prepared = prepare_contingency_dp(instance)
     if not prepared.consumes_rng:
         return prepared.sample()
     return prepared.sample(np.random.default_rng(rng))
-
-
-def _sample_contingency_table_reference(
-    instance: ClassifiedBipartite, rng: np.random.Generator | None = None
-) -> np.ndarray:
-    """The original pure-Python contingency DP (cross-validation baseline).
-
-    Identical law and option ordering to the vectorized default; kept so
-    tests can A/B the two evaluators and so throughput benchmarks can
-    measure the seed implementation's wall-clock faithfully (the suffix
-    memo is built fresh per call, exactly like the seed's lru_cache).
-    """
-    rng = np.random.default_rng(rng)
-    return _PreparedReference(instance).sample(rng)
 
 
 def _log_allocation_factor(
@@ -1040,8 +1007,6 @@ def expand_table_to_assignment(
 def sample_assignment_by_classes(
     instance: ClassifiedBipartite,
     rng: np.random.Generator | None = None,
-    *,
-    implementation: str = "auto",
 ) -> list[list[Hashable]]:
     """Exact weight-proportional matching sample, returned per column class.
 
@@ -1049,9 +1014,8 @@ def sample_assignment_by_classes(
     :func:`expand_table_to_assignment`: distributionally identical to
     sampling a perfect matching of the expanded bipartite graph with
     probability proportional to its weight, but in time polynomial in the
-    number of classes. ``implementation`` is forwarded to the contingency
-    DP (``"auto"``, ``"vectorized"``, or ``"reference"``).
+    number of classes.
     """
     rng = np.random.default_rng(rng)
-    table = sample_contingency_table(instance, rng, implementation=implementation)
+    table = sample_contingency_table(instance, rng)
     return expand_table_to_assignment(instance, table, rng)

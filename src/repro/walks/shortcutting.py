@@ -123,9 +123,7 @@ class ShortcuttingSampler:
                 transition = self.linalg.transition_matrix(graph)
                 order = list(range(n))
             else:
-                transition, order = self.linalg.schur_transition(
-                    graph, subset, shortcut
-                )
+                transition, order = self.linalg.schur_transition(graph, subset)
             index_of = {v: i for i, v in enumerate(order)}
             rho_eff = min(self.rho, len(subset))
             phase_n = transition.shape[0]

@@ -3,11 +3,24 @@
 from __future__ import annotations
 
 import math
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
 from repro.core import SamplerConfig
 from repro.errors import ConfigError
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "repro"
+
+# Each test-oracle alternate and the one module allowed to define it.
+ORACLE_HOMES = {
+    "sample_matching_exact": "matching/sampler.py",
+    "sample_matching_mcmc": "matching/sampler.py",
+    "schur_via_qr_product": "linalg/schur.py",
+    "shortcut_via_power_iteration": "linalg/shortcut.py",
+}
 
 
 class TestValidation:
@@ -31,12 +44,6 @@ class TestValidation:
     def test_bad_policies(self):
         with pytest.raises(ConfigError):
             SamplerConfig(on_failure="retry")
-        with pytest.raises(ConfigError):
-            SamplerConfig(matching_method="jsv")
-        with pytest.raises(ConfigError):
-            SamplerConfig(schur_method="magic")
-        with pytest.raises(ConfigError):
-            SamplerConfig(shortcut_method="magic")
 
     def test_bad_precision(self):
         with pytest.raises(ConfigError):
@@ -81,14 +88,38 @@ class TestResolution:
     def test_ell_override(self):
         assert SamplerConfig(ell=1 << 10).resolve_ell(100) == 1 << 10
 
-    def test_matching_tv_budget(self):
-        config = SamplerConfig(epsilon=0.01)
-        budget = config.matching_tv_budget(16, 1 << 12)
-        assert budget == pytest.approx(0.01 / (4 * 4 * 12))
-
     def test_normalizer_floor(self):
         config = SamplerConfig(normalizer_floor_exponent=3.0)
         assert config.normalizer_floor(10) == pytest.approx(1e-3)
         assert SamplerConfig().normalizer_floor(10) == pytest.approx(
             10.0 ** -40
+        )
+
+
+class TestOneAlgorithmPerStep:
+    """Each Outline 3 step has one production path; alternates are oracles."""
+
+    def test_field_count_ratchet(self):
+        assert len(fields(SamplerConfig)) <= 20
+
+    def test_retired_selectors_rejected(self):
+        for name in ("matching_method", "mcmc_steps", "schur_method",
+                     "shortcut_method"):
+            with pytest.raises(TypeError):
+                SamplerConfig(**{name: None})
+
+    def test_oracles_referenced_only_where_defined(self):
+        """Grep-clean: no library module selects an oracle alternate."""
+        pattern = re.compile(r"\b(" + "|".join(ORACLE_HOMES) + r")\b")
+        offenders = []
+        for path in SRC.rglob("*.py"):
+            relative = path.relative_to(SRC).as_posix()
+            if path.name == "__init__.py":
+                continue
+            for name in set(pattern.findall(path.read_text())):
+                if ORACLE_HOMES[name] != relative:
+                    offenders.append(f"{relative}: {name}")
+        assert not offenders, (
+            f"test-oracle alternates referenced from {sorted(offenders)}; "
+            "production runs one algorithm per step"
         )

@@ -34,17 +34,9 @@ from repro.linalg import (
     round_matrix_down,
     to_dense,
 )
-from repro.linalg.schur import schur_transition_matrix, schur_via_qr_product
-from repro.linalg.shortcut import (
-    shortcut_transition_matrix,
-    shortcut_via_power_iteration,
-)
-from repro.linalg.sparse import (
-    sparse_schur_transition,
-    sparse_schur_via_qr_product,
-    sparse_shortcut_matrix,
-    sparse_shortcut_via_power_iteration,
-)
+from repro.linalg.schur import schur_transition_matrix
+from repro.linalg.shortcut import shortcut_transition_matrix
+from repro.linalg.sparse import sparse_schur_transition, sparse_shortcut_matrix
 
 # repro.linalg.sparse imports lazily/gated, so the imports above succeed
 # without scipy; the tests themselves need the real thing.
@@ -103,24 +95,12 @@ class TestSparseKernelsAgreeWithDense:
         got = sparse_shortcut_matrix(g, list(range(g.n))).toarray()
         assert np.array_equal(got, np.eye(g.n))
 
-    def test_shortcut_power_iteration(self, instance):
-        g, subset = instance
-        expected = shortcut_via_power_iteration(g, subset, beta=1e-12)
-        got = sparse_shortcut_via_power_iteration(g, subset, beta=1e-12)
-        assert np.allclose(expected, got.toarray(), atol=1e-9)
-
     def test_schur_block(self, instance):
         g, subset = instance
         expected, order = schur_transition_matrix(g, subset)
         got, got_order = sparse_schur_transition(g, subset)
         assert order == got_order
         assert np.allclose(expected, got.toarray(), atol=1e-9)
-
-    def test_schur_qr_product(self, instance):
-        g, subset = instance
-        expected, __ = schur_via_qr_product(g, subset)
-        got, __ = sparse_schur_via_qr_product(g, subset)
-        assert np.allclose(expected, got.toarray(), atol=1e-8)
 
     def test_disconnected_elimination_raises(self):
         from repro.graphs.core import WeightedGraph
@@ -255,13 +235,9 @@ class TestCrossBackendIdentity:
         assert dense_result.ledger == sparse_result.ledger
 
     def test_alternate_constructions_identical(self):
+        """Dense and sparse agree under the Lemma 7 truncated ladder too."""
         graph = graphs.lollipop_graph(16)
-        config = dict(
-            ell=1 << 9,
-            schur_method="qr-product",
-            shortcut_method="power-iteration",
-            precision_bits=40,
-        )
+        config = dict(ell=1 << 9, precision_bits=40)
         dense_result = SamplerEngine(
             graph, SamplerConfig(linalg_backend="dense", **config)
         ).run(np.random.default_rng(5))

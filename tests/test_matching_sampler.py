@@ -19,6 +19,7 @@ from repro.matching import (
     sample_matching_exact,
     sample_matching_mcmc,
 )
+from repro.matching.sampler import _PreparedReference, _PreparedVectorized
 
 
 def exact_matching_law(weights: np.ndarray) -> dict[tuple[int, ...], float]:
@@ -250,19 +251,15 @@ class TestVectorizedVsReferenceDP:
         )
 
     def test_same_law(self, rng):
-        from repro.matching.sampler import sample_contingency_table
-
         inst = self._instance()
+        vectorized = _PreparedVectorized(inst)
+        reference = _PreparedReference(inst)
         fast: Counter = Counter()
         slow: Counter = Counter()
         trials = 2500
         for _ in range(trials):
-            fast[sample_contingency_table(inst, rng).tobytes()] += 1
-            slow[
-                sample_contingency_table(
-                    inst, rng, implementation="reference"
-                ).tobytes()
-            ] += 1
+            fast[vectorized.sample(rng).tobytes()] += 1
+            slow[reference.sample(rng).tobytes()] += 1
         keys = set(fast) | set(slow)
         total_variation = 0.5 * sum(
             abs(fast[k] / trials - slow[k] / trials) for k in keys
@@ -270,8 +267,6 @@ class TestVectorizedVsReferenceDP:
         assert total_variation < 0.05
 
     def test_infeasible_rejected_by_both(self):
-        from repro.matching.sampler import sample_contingency_table
-
         inst = ClassifiedBipartite(
             row_labels=(0, 1),
             row_counts=(1, 1),
@@ -279,29 +274,6 @@ class TestVectorizedVsReferenceDP:
             col_counts=(2,),
             class_weights=np.array([[0.0], [1.0]]),
         )
-        for implementation in ("vectorized", "reference"):
+        for evaluator in (_PreparedVectorized, _PreparedReference):
             with pytest.raises(MatchingError):
-                sample_contingency_table(
-                    inst, implementation=implementation
-                )
-
-    def test_unknown_implementation_rejected(self):
-        from repro.matching.sampler import sample_contingency_table
-
-        with pytest.raises(MatchingError):
-            sample_contingency_table(
-                self._instance(), implementation="gpu"
-            )
-
-    def test_reference_matching_method_end_to_end(self, rng):
-        """The sampler runs under matching_method='exact-dp-reference'."""
-        from repro import graphs
-        from repro.core import CongestedCliqueTreeSampler, SamplerConfig
-        from repro.graphs import is_spanning_tree
-
-        g = graphs.cycle_with_chord(8)
-        config = SamplerConfig(
-            ell=1 << 9, matching_method="exact-dp-reference"
-        )
-        tree = CongestedCliqueTreeSampler(g, config).sample_tree(rng)
-        assert is_spanning_tree(g, tree)
+                evaluator(inst)

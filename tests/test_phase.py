@@ -95,27 +95,6 @@ class TestPhaseWalkDistribution:
         )
         assert tv < 0.09
 
-    def test_mcmc_matching_also_correct(self, rng):
-        g = graphs.complete_graph(4)
-        # Explicit proposal budget: the default 10 B^3 across every level
-        # of every sample makes this test needlessly slow, and these
-        # instances (B <= ~8) mix in far fewer proposals.
-        config = SamplerConfig(ell=64, matching_method="mcmc", mcmc_steps=600)
-        transition = g.transition_matrix()
-        n_samples = 1000
-        distributed = Counter(
-            run_phase_walk(transition, 0, 3, config, rng)[-1]
-            for _ in range(n_samples)
-        )
-        direct = Counter(
-            walk_until_distinct(g, 0, 3, rng)[-1] for _ in range(n_samples)
-        )
-        tv = 0.5 * sum(
-            abs(distributed[v] / n_samples - direct[v] / n_samples)
-            for v in range(4)
-        )
-        assert tv < 0.08
-
 
 class TestRoundAccounting:
     def test_clique_charged(self, rng):

@@ -5,7 +5,6 @@ from __future__ import annotations
 from collections import Counter
 
 import numpy as np
-import pytest
 
 from repro import graphs
 from repro.core.midpoints import MidpointBank
@@ -28,37 +27,36 @@ def build_level(rng, vertices, spacing=4, graph=None):
     return LevelView(walk, bank), half
 
 
-@pytest.mark.parametrize("method", ["exact-dp", "exact-permanent", "mcmc"])
 class TestPlaceMidpoints:
-    def test_structure_preserved(self, rng, method):
+    def test_structure_preserved(self, rng):
         view, half = build_level(rng, [0, 2, 0, 3, 1])
         t_star = find_truncation_index(view, 4)
-        result = place_midpoints(view, t_star, half, rng, method=method)
+        result = place_midpoints(view, t_star, half, rng)
         # Spacing halves; even positions keep the old vertices.
         assert result.spacing == 2
         assert len(result.vertices) == t_star + 1
         for t in range(0, t_star + 1, 2):
             assert result.vertices[t] == view.walk.vertices[t // 2]
 
-    def test_multiset_preserved(self, rng, method):
+    def test_multiset_preserved(self, rng):
         """The placed midpoints are exactly the collected multiset."""
         view, half = build_level(rng, [0, 2, 0, 3, 1])
         t_star = find_truncation_index(view, 5)
         truncated = view.truncated_pair_counts(t_star)
         expected = view.bank.truncated_counts(truncated)
-        result = place_midpoints(view, t_star, half, rng, method=method)
+        result = place_midpoints(view, t_star, half, rng)
         placed = Counter(
             result.vertices[t] for t in range(1, t_star + 1, 2)
         )
         assert placed == expected
 
-    def test_final_midpoint_pinned(self, rng, method):
+    def test_final_midpoint_pinned(self, rng):
         """The chronologically final midpoint stays exactly in place."""
         view, half = build_level(rng, [0, 2, 0, 3, 1])
         t_star = find_truncation_index(view, 5)
         t_final = t_star if t_star % 2 == 1 else t_star - 1
         true_final = view.value_at(t_final)
-        result = place_midpoints(view, t_star, half, rng, method=method)
+        result = place_midpoints(view, t_star, half, rng)
         assert result.vertices[t_final] == true_final
 
 
@@ -83,7 +81,7 @@ class TestPlacementDistribution:
             law[tuple(walk.vertices)] += 1
         return {k: v / n_samples for k, v in law.items()}
 
-    def _placed_law(self, rng, method, n_samples=2000):
+    def _placed_law(self, rng, n_samples=2000):
         g = graphs.complete_graph(4)
         ladder = PowerLadder(g.transition_matrix(), 4)
         from repro.walks.fill import PartialWalk
@@ -98,16 +96,13 @@ class TestPlacementDistribution:
                 half = ladder.power(spacing // 2)
                 bank = MidpointBank(pair_counts, half, rng)
                 view = LevelView(walk, bank)
-                walk = place_midpoints(
-                    view, view.top, half, rng, method=method
-                )
+                walk = place_midpoints(view, view.top, half, rng)
             law[tuple(walk.vertices)] += 1
         return {k: v / n_samples for k, v in law.items()}
 
-    @pytest.mark.parametrize("method", ["exact-dp", "mcmc"])
-    def test_reconstruction_matches_direct(self, rng, method):
+    def test_reconstruction_matches_direct(self, rng):
         direct = self._direct_law(rng)
-        placed = self._placed_law(rng, method)
+        placed = self._placed_law(rng)
         keys = set(direct) | set(placed)
         tv = 0.5 * sum(
             abs(direct.get(k, 0.0) - placed.get(k, 0.0)) for k in keys

@@ -13,8 +13,8 @@ Three layers of guarantees, strongest first:
    regenerated exactly once when the contract shipped (see
    tests/README.md for the regeneration policy).
 2. **DP equivalence**: a prepared contingency DP sampled repeatedly
-   agrees draw-for-draw with the one-shot ``sample_contingency_table``
-   under matched RNG states, for every implementation choice.
+   agrees draw-for-draw with a fresh build under matched RNG states, for
+   the dispatching build and for each DP evaluator constructed directly.
 3. **Law equivalence**: sampled contingency tables over an enumerable
    instance match the exact table distribution implied by the
    ``permanent_class_dp`` factorization (chi-square), with the plan's
@@ -31,6 +31,7 @@ import pytest
 from scipy import stats as scipy_stats
 
 from repro import graphs
+from repro.core import placement_plan
 from repro.core.config import SamplerConfig
 from repro.core.placement_plan import PlacementPlan
 from repro.engine.runner import SamplerEngine
@@ -38,10 +39,27 @@ from repro.graphs.families import build_family
 from repro.matching.permanent import _compositions
 from repro.matching.sampler import (
     ClassifiedBipartite,
+    _PreparedReference,
+    _PreparedVectorized,
     instance_digest,
     prepare_contingency_dp,
     sample_contingency_table,
 )
+
+# The dispatching build plus each DP evaluator constructed directly, all
+# with the plan's ``(instance, comp_memo=...)`` build signature.
+BUILDERS = {
+    "auto": prepare_contingency_dp,
+    "vectorized": lambda instance, comp_memo=None: _PreparedVectorized(instance),
+    "reference": _PreparedReference,
+}
+
+
+def _one_shot(evaluator: str, instance: ClassifiedBipartite, rng):
+    """A fresh build sampled once (the module entry point for ``auto``)."""
+    if evaluator == "auto":
+        return sample_contingency_table(instance, rng)
+    return BUILDERS[evaluator](instance).sample(rng)
 
 # Seed trees drawn from the pre-batched-engine code (fast-audit config,
 # family built at n=12 with rng seed 2026, session/request seed 11).
@@ -204,29 +222,20 @@ class TestPreparedDPEquivalence:
             class_weights=rng.uniform(0.05, 1.5, size=(4, 3)),
         )
 
-    @pytest.mark.parametrize(
-        "implementation", ["auto", "vectorized", "reference"]
-    )
-    def test_prepared_equals_one_shot(self, implementation):
+    @pytest.mark.parametrize("evaluator", BUILDERS)
+    def test_prepared_equals_one_shot(self, evaluator):
         for instance in self._instances():
-            prepared = prepare_contingency_dp(
-                instance, implementation=implementation
-            )
+            prepared = BUILDERS[evaluator](instance)
             for seed in range(5):
-                one_shot = sample_contingency_table(
-                    instance,
-                    np.random.default_rng(seed),
-                    implementation=implementation,
+                one_shot = _one_shot(
+                    evaluator, instance, np.random.default_rng(seed)
                 )
                 repeat = (
                     prepared.sample(np.random.default_rng(seed))
                     if prepared.consumes_rng
                     else prepared.sample()
                 )
-                assert np.array_equal(one_shot, repeat), (
-                    implementation,
-                    seed,
-                )
+                assert np.array_equal(one_shot, repeat), (evaluator, seed)
 
     def test_plan_dedup_serves_isomorphic_instances(self):
         """Equal (counts, weights) with different labels share one build."""
@@ -306,10 +315,11 @@ class TestContingencyTableLaw:
     """Sampled table frequencies match the exact marginal distribution."""
 
     @pytest.mark.parametrize(
-        "implementation,use_plan",
-        list(product(["auto", "vectorized", "reference"], [False, True])),
+        "evaluator,use_plan", list(product(BUILDERS, [False, True]))
     )
-    def test_frequencies_match_exact_law(self, implementation, use_plan):
+    def test_frequencies_match_exact_law(
+        self, evaluator, use_plan, monkeypatch
+    ):
         instance = ClassifiedBipartite(
             row_labels=(0, 1),
             row_counts=(3, 2),
@@ -321,23 +331,25 @@ class TestContingencyTableLaw:
         assert len(law) > 1
         draws = 4000
         rng = np.random.default_rng(1234)
+        # The plan builds through the pinned evaluator, so its digest
+        # cache serves that evaluator's draws.
+        monkeypatch.setattr(
+            placement_plan, "prepare_contingency_dp", BUILDERS[evaluator]
+        )
         plan = PlacementPlan()
         counts: dict[bytes, int] = {}
         for __ in range(draws):
             if use_plan:
-                prepared = plan.prepared_dp(instance, implementation)
-                table = prepared.sample(rng)
+                table = plan.prepared_dp(instance).sample(rng)
             else:
-                table = sample_contingency_table(
-                    instance, rng, implementation=implementation
-                )
+                table = _one_shot(evaluator, instance, rng)
             counts[table.tobytes()] = counts.get(table.tobytes(), 0) + 1
         assert set(counts) <= set(law)
         support = list(law)
         observed = np.array([counts.get(k, 0) for k in support], dtype=float)
         expected = np.array([law[k] * draws for k in support])
         __, p_value = scipy_stats.chisquare(observed, expected)
-        assert p_value > 1e-4, (implementation, use_plan, p_value)
+        assert p_value > 1e-4, (evaluator, use_plan, p_value)
         if use_plan:
             assert plan.dp_hits == draws - 1
 

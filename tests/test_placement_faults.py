@@ -3,8 +3,7 @@
 Covers the failure surfaces the batched rewrite must preserve:
 
 - zero-weight columns and infeasible (zero-permanent) instances raise
-  ``MatchingError`` from every DP implementation and from prepared
-  builds;
+  ``MatchingError`` from every DP evaluator and from prepared builds;
 - degenerate single-class instances take the closed-form path (no
   randomness) and still reject infeasible weights;
 - the ``_DP_STATE_BUDGET`` guard falls back to the Appendix 5.3
@@ -30,6 +29,7 @@ from repro.graphs.spanning import is_spanning_tree
 from repro.matching.sampler import (
     ClassifiedBipartite,
     _PreparedReference,
+    _PreparedVectorized,
     _trivial_table,
     prepare_contingency_dp,
     sample_contingency_table,
@@ -37,7 +37,12 @@ from repro.matching.sampler import (
 
 from statutil import assert_matches_tree_law, draw_trees
 
-ALL_IMPLEMENTATIONS = ["auto", "vectorized", "reference"]
+# The dispatching build plus each DP evaluator constructed directly.
+EVALUATORS = {
+    "auto": prepare_contingency_dp,
+    "vectorized": _PreparedVectorized,
+    "reference": _PreparedReference,
+}
 
 
 class TestInfeasibleInstances:
@@ -62,29 +67,23 @@ class TestInfeasibleInstances:
             class_weights=np.array([[1.0, 1.0], [1.0, 0.0]]),
         )
 
-    @pytest.mark.parametrize("implementation", ALL_IMPLEMENTATIONS)
-    def test_zero_weight_column_raises(self, implementation):
+    @pytest.mark.parametrize("evaluator", EVALUATORS)
+    def test_zero_weight_column_raises(self, evaluator):
         with pytest.raises(MatchingError, match="permanent is zero"):
-            sample_contingency_table(
-                self._zero_column_instance(),
-                np.random.default_rng(0),
-                implementation=implementation,
+            EVALUATORS[evaluator](self._zero_column_instance()).sample(
+                np.random.default_rng(0)
             )
 
-    @pytest.mark.parametrize("implementation", ALL_IMPLEMENTATIONS)
-    def test_zero_weight_column_raises_at_prepare_time(self, implementation):
+    @pytest.mark.parametrize("evaluator", EVALUATORS)
+    def test_zero_weight_column_raises_at_prepare_time(self, evaluator):
         with pytest.raises(MatchingError, match="permanent is zero"):
-            prepare_contingency_dp(
-                self._zero_column_instance(), implementation=implementation
-            )
+            EVALUATORS[evaluator](self._zero_column_instance())
 
-    @pytest.mark.parametrize("implementation", ALL_IMPLEMENTATIONS)
-    def test_zero_permanent_raises(self, implementation):
+    @pytest.mark.parametrize("evaluator", EVALUATORS)
+    def test_zero_permanent_raises(self, evaluator):
         with pytest.raises(MatchingError, match="permanent is zero"):
-            sample_contingency_table(
-                self._zero_permanent_instance(),
-                np.random.default_rng(0),
-                implementation=implementation,
+            EVALUATORS[evaluator](self._zero_permanent_instance()).sample(
+                np.random.default_rng(0)
             )
 
     def test_negative_weights_rejected_by_instance(self):
@@ -202,8 +201,10 @@ class TestRadixOverflowFallback:
         )
 
     def test_vectorized_request_falls_back_to_reference(self):
+        """An instance past the small-size cut would get the vectorized
+        DP; radix overflow dispatches it to the reference recursion."""
         instance = self._radix_overflow_instance()
-        prepared = prepare_contingency_dp(instance, implementation="vectorized")
+        prepared = prepare_contingency_dp(instance)
         assert isinstance(prepared, _PreparedReference)
 
     def test_fallback_samples_the_reference_stream(self):
@@ -211,14 +212,10 @@ class TestRadixOverflowFallback:
         instance = self._radix_overflow_instance()
         for seed in range(3):
             fallback = sample_contingency_table(
-                instance,
-                np.random.default_rng(seed),
-                implementation="vectorized",
+                instance, np.random.default_rng(seed)
             )
-            reference = sample_contingency_table(
-                instance,
-                np.random.default_rng(seed),
-                implementation="reference",
+            reference = _PreparedReference(instance).sample(
+                np.random.default_rng(seed)
             )
             assert np.array_equal(fallback, reference)
             assert fallback.sum() == 63

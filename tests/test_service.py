@@ -199,8 +199,14 @@ class TestBudgets:
                 parse_service_envelope(envelope(config=fields), LIMITS)
 
     def test_unknown_config_field_rejected(self):
-        with pytest.raises(ServiceError, match="unknown config field"):
-            parse_service_envelope(envelope(config={"elll": 1024}), LIMITS)
+        # Typos and retired selectors alike get the typed 400 error.
+        for override in (
+            {"elll": 1024},
+            {"matching_method": "mcmc"},
+            {"schur_method": "qr-product"},
+        ):
+            with pytest.raises(ServiceError, match="unknown config field"):
+                parse_service_envelope(envelope(config=override), LIMITS)
 
     def test_bad_config_value_rejected_with_config_error_text(self):
         with pytest.raises(ServiceError, match="bad config override"):

@@ -238,20 +238,3 @@ class TestNightlyUniformity:
         assert_matches_tree_law(
             graph, trees, label=f"wchord/{variant}/{mode}/{contract}"
         )
-
-    @pytest.mark.parametrize("mode,contract", MODE_CONTRACT)
-    def test_k4_reference_dp_method(self, mode, contract):
-        """The exact-dp-reference matching method under every cell."""
-        graph = graphs.complete_graph(4)
-        config = SamplerConfig(
-            ell=FAST_ELL,
-            placement_mode=mode,
-            rng_contract=contract,
-            matching_method="exact-dp-reference",
-        )
-        trees = draw_trees(
-            graph, 2000, config=config, variant="approximate", seed=47
-        )
-        assert_matches_tree_law(
-            graph, trees, label=f"k4/refdp/{mode}/{contract}"
-        )
