@@ -190,13 +190,11 @@ class Session:
             "n": int(self.graph.n),
             "seed": request.seed,
             "linalg_backend": self._linalg_name,
-            # The resolved walk-layer placement mode ("batched" runs the
-            # per-phase PlacementPlan, "reference" the seed-faithful
-            # per-pair path; trees are byte-identical either way).
-            "placement_mode": self.config.placement_mode,
-            # The RNG contract actually in force ("v2" block draws need
-            # a plan, so reference mode always reports "v1").
-            "rng_contract": self.config.effective_rng_contract,
+            # Which generator bits realize a seed: every walk decision
+            # is a block draw ("v2"). A constant label, kept so seeded
+            # envelopes stay comparable with those recorded before the
+            # per-decision stream was retired.
+            "rng_contract": "v2",
             "seconds": round(time.perf_counter() - start, 6),
             # Cumulative session cache counters, captured after the
             # request so every envelope carries tier hit/miss/spill/
@@ -379,7 +377,7 @@ class Session:
         recipe = spec.resolve_recipe(request.recipe)
         # Weights depend only on (graph edge order, mode, seed) -- never
         # on the numerics config -- so pinned-seed instances are
-        # host-invariant and identical under either RNG contract.
+        # host-invariant.
         weights = resolve_weights(self.graph, request.weights, seed)
         result = run_mst(self.graph, recipe=recipe, weights=weights)
         oracle_forest, oracle_weight = kruskal_forest(self.graph, weights)

@@ -122,10 +122,6 @@ def _open_session(args: argparse.Namespace, ell: int | None = None) -> Session:
         overrides["linalg_backend"] = args.linalg_backend
     if getattr(args, "cache_dir", None) is not None:
         overrides["cache_dir"] = args.cache_dir
-    if getattr(args, "placement_mode", None) is not None:
-        overrides["placement_mode"] = args.placement_mode
-    if getattr(args, "rng_contract", None) is not None:
-        overrides["rng_contract"] = args.rng_contract
     config = preset_config("fast-bench", **overrides)
     return Session(graph, config, seed=args.seed, meta=meta)
 
@@ -170,34 +166,6 @@ def _add_cache_dir_flag(parser: argparse.ArgumentParser) -> None:
         help="persistent derived-graph store: spill phase numerics to "
              "DIR and warm-start from entries already there ('auto' = "
              "$REPRO_CACHE_DIR or ~/.cache/repro-spanning-trees)",
-    )
-
-
-def _add_placement_flag(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared walk-layer placement-mode override flag."""
-    parser.add_argument(
-        "--placement-mode",
-        dest="placement_mode",
-        default=None,
-        choices=["batched", "reference"],
-        help="walk-layer placement: 'batched' shares per-phase "
-             "classification and DP builds across draws (default), "
-             "'reference' keeps the seed-faithful per-pair path; trees "
-             "are byte-identical either way",
-    )
-
-
-def _add_rng_contract_flag(parser: argparse.ArgumentParser) -> None:
-    """Attach the shared RNG-contract override flag."""
-    parser.add_argument(
-        "--rng-contract",
-        dest="rng_contract",
-        default=None,
-        choices=["v2", "v1"],
-        help="randomness contract: 'v2' resolves decisions by block "
-             "draws against plan CDFs (default; fastest), 'v1' keeps "
-             "the per-decision stream that reproduces pre-v2 seeded "
-             "trees; both sample the identical distribution",
     )
 
 
@@ -266,8 +234,6 @@ def _make_parser() -> argparse.ArgumentParser:
                         help="machine-readable output")
     _add_linalg_flag(sample)
     _add_cache_dir_flag(sample)
-    _add_placement_flag(sample)
-    _add_rng_contract_flag(sample)
 
     rounds = sub.add_parser("rounds", help="compare sampler round bills")
     rounds.add_argument("--family", default="expander", choices=family_names())
@@ -278,8 +244,6 @@ def _make_parser() -> argparse.ArgumentParser:
                         help="machine-readable output")
     _add_linalg_flag(rounds)
     _add_cache_dir_flag(rounds)
-    _add_placement_flag(rounds)
-    _add_rng_contract_flag(rounds)
 
     pagerank = sub.add_parser(
         "pagerank", help="walk-based PageRank vs the exact solve"
@@ -317,8 +281,6 @@ def _make_parser() -> argparse.ArgumentParser:
                      help="machine-readable output")
     _add_linalg_flag(mst)
     _add_cache_dir_flag(mst)
-    _add_placement_flag(mst)
-    _add_rng_contract_flag(mst)
 
     ensemble = sub.add_parser(
         "ensemble",
@@ -341,8 +303,6 @@ def _make_parser() -> argparse.ArgumentParser:
                           help="machine-readable output")
     _add_linalg_flag(ensemble)
     _add_cache_dir_flag(ensemble)
-    _add_placement_flag(ensemble)
-    _add_rng_contract_flag(ensemble)
 
     audit = sub.add_parser(
         "audit", help="uniformity audit against exact enumeration"
@@ -360,8 +320,6 @@ def _make_parser() -> argparse.ArgumentParser:
                        help="machine-readable output")
     _add_linalg_flag(audit)
     _add_cache_dir_flag(audit)
-    _add_placement_flag(audit)
-    _add_rng_contract_flag(audit)
 
     calibrate = sub.add_parser(
         "calibrate",

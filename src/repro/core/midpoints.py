@@ -18,7 +18,10 @@ then answers exactly the queries the leader's protocol is allowed:
 - the per-vertex total counts that form the multiset ``M`` (step 3 of
   Algorithm 3 / the multiset collection of Lemma 4).
 
-Round costs are charged on the shared clique when one is supplied.
+Round costs are charged on the shared clique when one is supplied. With
+the phase's placement plan the bank draws one uniform block per level
+against the plan's memoized CDFs; without one (the test oracle) it draws
+one ``choice`` per pair.
 """
 
 from __future__ import annotations
@@ -61,21 +64,16 @@ class MidpointBank:
         Optional clique simulator to charge the Algorithm 2 communication
         (count requests + distribution gathering).
     plan / level:
-        Optional :class:`~repro.core.placement_plan.PlacementPlan` and
-        the level's half-spacing exponent. When given, the per-pair law
-        ``P^{delta/2}[p, *] * P^{delta/2}[*, q]`` comes from the plan's
-        memo (computed there on first use) instead of being rebuilt per
-        level -- bit-identical vectors, so sampled sequences match the
-        planless path exactly for the same RNG state.
-    contract:
-        RNG contract. ``"v1"`` (default) draws one ``rng.choice`` per
-        pair, byte-compatible with the seed implementation. ``"v2"``
-        validates every pair's normalizer floor *first* (a
-        :class:`~repro.errors.PrecisionError` fallback then leaves the
+        The phase's :class:`~repro.core.placement_plan.PlacementPlan` and
+        the level's half-spacing exponent (the production path). The
+        bank then validates every pair's normalizer floor *first* (a
+        :class:`~repro.errors.PrecisionError` fallback leaves the
         generator untouched), draws one uniform block for the whole
-        level, and resolves each pair by ``searchsorted`` against its
-        cumulative law -- the same per-pair distribution from different
-        generator bits.
+        level, and resolves each pair by ``searchsorted`` against the
+        plan's memoized cumulative law. Without a plan every pair draws
+        one ``rng.choice`` over its freshly computed law, the seed
+        implementation's bit stream -- the same per-pair distribution
+        from different generator bits.
     """
 
     def __init__(
@@ -89,7 +87,6 @@ class MidpointBank:
         leader: int = 0,
         plan=None,
         level: int | None = None,
-        contract: str = "v1",
     ) -> None:
         self.pair_counts = dict(pair_counts)
         self.half_power = half_power
@@ -118,7 +115,7 @@ class MidpointBank:
                 max_hosted * clique.n,
                 total_words=num_pairs * clique.n,
             )
-        if contract == "v2":
+        if plan is not None:
             # Validate every pair's floor before any randomness is
             # consumed: the Section 5.2 fallback can then rerun the level
             # with the generator exactly where it started.
@@ -128,14 +125,7 @@ class MidpointBank:
                 if count < 0:
                     raise WalkError(f"negative count for pair {pair}")
                 p, q = pair
-                if plan is not None and level is not None:
-                    cdf, total = plan.cdf(level, p, q, half_power)
-                else:
-                    law = matrix_row(half_power, p) * matrix_col(
-                        half_power, q
-                    )
-                    total = float(law.sum())
-                    cdf = np.cumsum(law)
+                cdf, total = plan.cdf(level, p, q, half_power)
                 if total <= normalizer_floor or total <= 0.0:
                     raise PrecisionError(
                         f"midpoint normalizer for pair {pair} is "
@@ -162,23 +152,15 @@ class MidpointBank:
             if count < 0:
                 raise WalkError(f"negative count for pair {pair}")
             p, q = pair
-            if plan is not None and level is not None:
-                probabilities, total = plan.probabilities(
-                    level, p, q, half_power
-                )
-            else:
-                law = matrix_row(half_power, p) * matrix_col(half_power, q)
-                total = float(law.sum())
-                probabilities = None
+            law = matrix_row(half_power, p) * matrix_col(half_power, q)
+            total = float(law.sum())
             if total <= normalizer_floor or total <= 0.0:
                 raise PrecisionError(
                     f"midpoint normalizer for pair {pair} is {total:.3e}, "
                     f"below the floor {normalizer_floor:.3e}"
                 )
-            if probabilities is None:
-                probabilities = law / total
             self._sequences[pair] = rng.choice(
-                n, size=count, p=probabilities
+                n, size=count, p=law / total
             ).astype(np.int64)
 
     @staticmethod

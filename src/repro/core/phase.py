@@ -21,6 +21,15 @@ below the configured floor aborts the distributed fill, charges the
 "collect the whole network at the leader" cost (O(n) rounds), and finishes
 the segment with the sequential exact filler -- the appendix's brute-force
 fallback.
+
+Randomness follows the phase's
+:class:`~repro.core.placement_plan.PlacementPlan`: the production engine
+always passes one, and every decision -- the segment end vertex, each
+level's midpoints, the placement table and order -- is then a uniform
+block draw against the plan's memoized CDFs. Without a plan the walk
+consumes the seed implementation's per-decision ``choice``/
+``permutation`` stream; only the planless test oracle engine in
+:mod:`repro.engine.runner` and the unit tests run it.
 """
 
 from __future__ import annotations
@@ -89,7 +98,6 @@ def _segment_fill(
     *,
     exact_placement: bool,
     plan=None,
-    contract: str = "v1",
 ) -> list[int]:
     """One distributed truncated fill of nominal length ``ladder.ell``.
 
@@ -98,13 +106,10 @@ def _segment_fill(
     """
     n = ladder.power(1).shape[0]
     ell = ladder.ell
-    if contract == "v2":
-        # Block contract: one uniform against the memoized cumulative
-        # end law (extensions revisit start vertices across draws).
-        if plan is not None:
-            end_cdf = plan.end_cdf(start, ladder.power(ell))
-        else:
-            end_cdf = np.cumsum(matrix_row(ladder.power(ell), start))
+    if plan is not None:
+        # Block draw: one uniform against the memoized cumulative end
+        # law (extensions revisit start vertices across draws).
+        end_cdf = plan.end_cdf(start, ladder.power(ell))
         end = int(end_cdf.searchsorted(rng.random() * end_cdf[-1], "right"))
         end = min(end, n - 1)
     else:
@@ -125,7 +130,7 @@ def _segment_fill(
             bank = MidpointBank(
                 pair_counts, half_power, rng,
                 normalizer_floor=floor, clique=clique,
-                plan=plan, level=half, contract=contract,
+                plan=plan, level=half,
             )
         except PrecisionError:
             # Section 5.2 fallback: collect the network at the leader
@@ -140,14 +145,14 @@ def _segment_fill(
                 fill_half = walk.spacing // 2
                 walk = _fill_level(
                     walk, ladder.power(fill_half), rng,
-                    plan=plan, level=fill_half, contract=contract,
+                    plan=plan, level=fill_half,
                 )
                 walk = _truncate_at_distinct(walk, rho_seg)
             break
         view = LevelView(walk, bank)
         if plan is not None:
-            # Batched mode: identical t* and identical probe charges via
-            # the direct scan (the simulator holds every sequence).
+            # Identical t* and identical probe charges via the direct
+            # scan (the simulator holds every sequence).
             t_star = find_truncation_index_fast(view, rho_seg, clique=clique)
         else:
             t_star = find_truncation_index(view, rho_seg, clique=clique)
@@ -155,12 +160,12 @@ def _segment_fill(
             raise SamplingError("truncation collapsed to the start vertex")
         if exact_placement:
             walk = place_by_pair_multisets(
-                view, t_star, rng, clique=clique, contract=contract
+                view, t_star, rng, clique=clique, plan=plan
             )
         else:
             walk = place_midpoints(
                 view, t_star, half_power, rng,
-                clique=clique, plan=plan, level=half, contract=contract,
+                clique=clique, plan=plan, level=half,
             )
         stats.levels += 1
     return list(walk.vertices)
@@ -178,7 +183,6 @@ def run_phase_walk(
     exact_placement: bool = False,
     stats: PhaseStats | None = None,
     plan=None,
-    contract: str = "v1",
 ) -> list[int]:
     """Sample a phase walk stopping at its rho_eff-th distinct vertex.
 
@@ -189,14 +193,14 @@ def run_phase_walk(
     walk as a list of phase-local vertex indices, guaranteed to end at
     the first occurrence of its rho_eff-th distinct vertex.
 
-    ``plan`` optionally carries the phase's
-    :class:`~repro.core.placement_plan.PlacementPlan`
-    (``placement_mode="batched"``): midpoint laws and contingency-DP
-    builds are then served from the plan's memos -- same bits, same RNG
-    consumption, byte-identical walks. ``contract`` selects the RNG
-    contract: ``"v1"`` keeps the per-decision bit-stream of the seed
-    implementation, ``"v2"`` draws uniform blocks resolved against the
-    plan's CDFs -- the identical walk law from different generator bits.
+    ``plan`` carries the phase's
+    :class:`~repro.core.placement_plan.PlacementPlan` on the production
+    path: midpoint laws and contingency-DP builds are served from its
+    memos, and every decision is a uniform block draw resolved against
+    the plan's CDFs. Without a plan (the test oracle engine and the unit
+    tests) the walk consumes the seed implementation's
+    per-decision ``choice``/``permutation`` stream -- the identical walk
+    law from different generator bits.
     """
     if stats is None:
         stats = PhaseStats(subset_size=transition.shape[0], rho_eff=rho_eff)
@@ -213,7 +217,7 @@ def run_phase_walk(
 
     walk = _segment_fill(
         ladder, start, rho_eff, config, rng, clique, stats,
-        exact_placement=exact_placement, plan=plan, contract=contract,
+        exact_placement=exact_placement, plan=plan,
     )
     seen = set(walk)
     extensions = 0
@@ -236,7 +240,7 @@ def run_phase_walk(
         remaining = rho_eff - len(seen)
         segment = _segment_fill(
             ladder, walk[-1], remaining + 1, config, rng, clique, stats,
-            exact_placement=exact_placement, plan=plan, contract=contract,
+            exact_placement=exact_placement, plan=plan,
         )
         walk.extend(segment[1:])
         seen = set(walk)

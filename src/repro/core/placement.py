@@ -106,7 +106,6 @@ def place_midpoints(
     clique: CongestedClique | None = None,
     plan=None,
     level: int | None = None,
-    contract: str = "v1",
 ) -> PartialWalk:
     """Sample the placement of the collected multiset (Section 2.1.3).
 
@@ -114,14 +113,13 @@ def place_midpoints(
     at ``t*``), with the non-final midpoints placed by an exact
     weight-proportional matching sample.
 
-    ``plan``/``level`` activate the batched engine
-    (:class:`~repro.core.placement_plan.PlacementPlan`): weight columns
-    come from the plan's per-(level, pair) law memo, the position ->
-    column-class assignment uses a hoisted index map instead of repeated
-    list searches, and the exact-DP samplers reuse the plan's prepared
-    forward/backward passes for isomorphic instances. Every cached value
-    is bit-equal to what the per-pair path computes and the RNG is
-    consumed in the same order, so trees are byte-identical either way.
+    ``plan``/``level`` carry the phase's
+    :class:`~repro.core.placement_plan.PlacementPlan` (the production
+    path): weight columns come from the plan's per-(level, pair) law
+    memo, the exact DP reuses the plan's prepared forward/backward
+    passes for isomorphic instances, and the table and within-class
+    order are block draws. Without a plan the DP is built per instance
+    and sampled with the seed implementation's per-decision stream.
     """
     bank = view.bank
     truncated = view.truncated_pair_counts(t_star)
@@ -152,7 +150,7 @@ def place_midpoints(
         # resamples the same conditional law exactly (both are exact
         # resamplings of the true placement; see Appendix 5.3).
         return place_by_pair_multisets(
-            view, t_star, rng, clique=clique, contract=contract
+            view, t_star, rng, clique=clique, plan=plan
         )
     if positions:
         pair_for_position = {
@@ -166,9 +164,8 @@ def place_midpoints(
         # and CSR alike; entry values match scalar indexing exactly).
         labels_arr = np.asarray(row_labels, dtype=np.intp)
         weights = np.empty((len(row_labels), len(col_classes)))
-        batched = plan is not None and level is not None
         for c, (p, q) in enumerate(col_classes):
-            if batched:
+            if plan is not None:
                 # The memoized full law restricted to the multiset's
                 # labels: gather-after-multiply equals the per-pair
                 # multiply-after-gather entry for entry.
@@ -188,9 +185,7 @@ def place_midpoints(
         distinct = len(set(view.walk.vertices[: t_star // 2 + 1]))
         distinct += len(row_labels) + 1
         _charge_submatrix(clique, distinct)
-        per_class = _sample_assignment(
-            instance, rng, plan=plan if batched else None, contract=contract
-        )
+        per_class = _sample_assignment(instance, rng, plan=plan)
         # Hand the sampled labels to positions class by class, in
         # chronological order within each class.
         class_index_of = {pair: c for c, pair in enumerate(col_classes)}
@@ -208,28 +203,23 @@ def _sample_assignment(
     rng: np.random.Generator,
     *,
     plan=None,
-    contract: str = "v1",
 ) -> list[list[int]]:
     """Exact matching sample as per-column-class label lists
     (chronological within class)."""
     if plan is None:
         per_class = sample_assignment_by_classes(instance, rng)
     else:
-        # Batched engine: the deterministic DP build is shared across
-        # isomorphic instances via the plan; only the sampling pass (and
-        # the uniform within-class expansion) consumes the rng, in
-        # exactly the per-instance order of the planless path.
+        # The deterministic DP build is shared across isomorphic
+        # instances via the plan; only the sampling pass (one uniform
+        # vector per table draw, resolved column by column against the
+        # prepared CDFs) and the within-class order consume the rng.
         prepared = plan.prepared_dp(instance)
-        if not prepared.consumes_rng:
-            table = prepared.sample()
-        elif contract == "v2":
-            # Block contract: one uniform vector per table draw,
-            # resolved column by column against the prepared CDFs.
+        if prepared.consumes_rng:
             table = prepared.sample_block(rng)
         else:
-            table = prepared.sample(rng)
+            table = prepared.sample()
         per_class = expand_table_to_assignment(
-            instance, table, rng, rng_contract=contract
+            instance, table, rng, rng_contract="v2"
         )
     return [[int(x) for x in labels] for labels in per_class]
 
@@ -240,7 +230,7 @@ def place_by_pair_multisets(
     rng: np.random.Generator,
     *,
     clique: CongestedClique | None = None,
-    contract: str = "v1",
+    plan=None,
 ) -> PartialWalk:
     """Appendix 5.3 placement: per-pair multisets, uniform shuffles.
 
@@ -250,6 +240,11 @@ def place_by_pair_multisets(
     are exchangeable, so placing a uniformly random permutation of each
     pair's multiset is exact -- with the chronologically final midpoint
     pinned, as always.
+
+    A ``plan`` (the production path) selects the block draw: one uniform
+    vector for the level, argsorted per pair. Without one each pair
+    draws its own ``rng.permutation``, the seed implementation's stream.
+    The plan's memos are not consulted -- a shuffle needs no law.
     """
     bank = view.bank
     truncated = view.truncated_pair_counts(t_star)
@@ -286,7 +281,7 @@ def place_by_pair_multisets(
             )
         pending.append((values, slots))
         total_values += len(values)
-    if contract == "v2":
+    if plan is not None:
         # One uniform block for the level; argsorting a pair's slice of
         # iid uniform keys is a uniform permutation (ties have measure
         # zero), so each pair's multiset shuffle stays exact.

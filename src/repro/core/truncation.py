@@ -159,7 +159,7 @@ def find_truncation_index_fast(
     *,
     clique: CongestedClique | None = None,
 ) -> int:
-    """Simulator fast path for Algorithm 3 (batched placement mode).
+    """Simulator fast path for Algorithm 3 (the plan-bearing walk).
 
     The simulator holds every midpoint sequence, so the truncation point
     -- the first occurrence of the rho-th distinct vertex in ``W^+_i``,

@@ -20,14 +20,14 @@ from the same sampler. :class:`EnsembleEngine` runs them two ways:
   draws are yielded incrementally (in draw order) as their worker chunks
   complete instead of after the whole batch.
 
-Workers receive ``(weights, config, variant, seeds)`` payloads; results
+Workers receive ``(engine class, weights, config, variant, seeds)``
+payloads, so a subclassed engine fans out as itself; results
 (:class:`~repro.engine.results.SampleResult`) are plain dataclasses and
 pickle cleanly. If process spawning is unavailable (restricted sandboxes,
 daemonic parents), the driver degrades to the sequential path with the
 same seeds -- identical results, no failure.
 
-The batched placement engine rides the same payload: ``config`` carries
-``placement_mode``, so every worker builds per-phase
+Every worker builds per-phase
 :class:`~repro.core.placement_plan.PlacementPlan`s of its own -- and
 when the config names a ``cache_dir``, workers both load plans earlier
 processes spilled and spill the plans they grow (atomic per-entry
@@ -158,7 +158,13 @@ class EnsembleResult:
 
 
 def _draw_chunk(
-    payload: tuple[np.ndarray, SamplerConfig, str, list[np.random.SeedSequence]],
+    payload: tuple[
+        type[SamplerEngine],
+        np.ndarray,
+        SamplerConfig,
+        str,
+        list[np.random.SeedSequence],
+    ],
 ) -> tuple[list[SampleResult], dict]:
     """Worker entry point: one engine + cache per process, one rng per draw.
 
@@ -167,9 +173,9 @@ def _draw_chunk(
     ``cache_stats`` for multiprocess runs (they used to be dropped,
     leaving ``meta["cache"]`` empty exactly when a service fans out).
     """
-    weights, config, variant, seeds = payload
+    engine_cls, weights, config, variant, seeds = payload
     graph = WeightedGraph(weights, validate=False)
-    engine = SamplerEngine(graph, config, variant=variant)
+    engine = engine_cls(graph, config, variant=variant)
     results = [engine.run(np.random.default_rng(seed)) for seed in seeds]
     stats = engine.cache.stats() if engine.cache is not None else {}
     return results, stats
@@ -394,6 +400,7 @@ class EnsembleEngine:
         engine = self.engine
         return [
             (
+                type(engine),
                 engine.graph.weights,
                 engine.config,
                 engine.variant,

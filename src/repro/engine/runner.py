@@ -15,12 +15,19 @@ from the cache -- the model counts rounds per execution. Cache hits
 replay the recorded charge recipe (see
 :class:`~repro.engine.cache.PhaseNumerics`), so cached and uncached runs
 produce identical trees *and* identical round totals.
+
+Every phase walks over the entry's
+:class:`~repro.core.placement_plan.PlacementPlan` with block draws.
+:class:`ReferenceEngine`, a test oracle outside the package exports,
+runs the planless walk that reproduces the pre-block-draw seed trees.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
+from functools import partial
+from typing import Callable
 
 import numpy as np
 
@@ -142,16 +149,6 @@ class SamplerEngine:
             ).encode()
         )
         self._cache_token = digest.hexdigest()
-        # Batched placement (the default) attaches a PlacementPlan to
-        # every phase's numerics entry; reference mode leaves entries
-        # untouched and runs the seed-faithful per-pair path. Both draw
-        # byte-identical trees, which is why the mode sits outside the
-        # cache fingerprint (NON_NUMERICS_FIELDS).
-        self.placement_mode = self.config.placement_mode
-        # The RNG contract actually in force: "v2" (block draws against
-        # plan CDFs) needs a plan, so reference mode always consumes
-        # v1-style bits regardless of config.rng_contract.
-        self.rng_contract = self.config.effective_rng_contract
         # Plans this run touched, for the end-of-run disk spill:
         # key -> plan (insertion order keeps spills deterministic).
         self._touched_plans: dict = {}
@@ -243,7 +240,7 @@ class SamplerEngine:
         transition = numerics.transition
         order = numerics.order
         index_of = {v: i for i, v in enumerate(order)}
-        plan = numerics.plan if self.placement_mode == "batched" else None
+        plan = self._phase_plan(numerics)
 
         # --- Steps 4-5: distributed truncated walk. ---------------------
         # Broadcast variant: the walk machinery consumes the identical
@@ -265,21 +262,22 @@ class SamplerEngine:
             exact_placement=self.spec.exact_placement,
             stats=stats,
             plan=plan,
-            contract=self.rng_contract,
         )
         walk_orig = [order[i] for i in local_walk]
 
         # --- Step 6: first-visit edges via ShortCut(G, S) (Algorithm 4).
         # The into-S weight vector is a function of (G, S) alone; hoist
         # it out of the per-new-vertex loop (same per-row pairwise sums,
-        # so the sampled law is unchanged). With a plan, each (prev, v)
-        # step's whole distribution is additionally memoized across
-        # draws -- the cached arrays are what the cold evaluation
-        # returned, so the edge draw below sees identical probabilities.
+        # so the sampled law is unchanged).
         s_mask = np.zeros(n, dtype=bool)
         s_mask[subset] = True
         weight_into_s = graph.weights[:, s_mask].sum(axis=1)
-        edges: list[tuple[int, int]] = []
+
+        def distribution(prev: int, v: int):
+            return first_visit_edge_distribution(
+                graph, subset, shortcut, prev, v, weight_into_s=weight_into_s
+            )
+
         seen = {walk_orig[0]}
         steps: list[tuple[int, int]] = []
         for position in range(1, len(walk_orig)):
@@ -288,46 +286,9 @@ class SamplerEngine:
                 continue
             seen.add(v)
             steps.append((walk_orig[position - 1], v))
-        if self.rng_contract == "v2" and plan is not None and steps:
-            # Block contract: the phase's first-visit edges share one
-            # uniform vector, each resolved against the memoized
-            # cumulative distribution of its (prev, v) step.
-            uniforms = rng.random(len(steps))
-            for (prev, v), uniform in zip(steps, uniforms):
-
-                def _cold_distribution(prev=prev, v=v):
-                    return first_visit_edge_distribution(
-                        graph, subset, shortcut, prev, v,
-                        weight_into_s=weight_into_s,
-                    )
-
-                neighbors, cdf = plan.first_visit_cdf(
-                    prev, v, _cold_distribution
-                )
-                index = int(cdf.searchsorted(uniform * cdf[-1], "right"))
-                u = int(neighbors[min(index, len(cdf) - 1)])
-                edges.append((u, v))
-                stats.new_vertices.append(v)
-        else:
-            for prev, v in steps:
-
-                def _cold_distribution(prev=prev, v=v):
-                    return first_visit_edge_distribution(
-                        graph, subset, shortcut, prev, v,
-                        weight_into_s=weight_into_s,
-                    )
-
-                if plan is not None:
-                    neighbors, probabilities = plan.first_visit(
-                        prev, v, _cold_distribution
-                    )
-                else:
-                    neighbors, probabilities = _cold_distribution()
-                u = int(
-                    neighbors[int(rng.choice(len(neighbors), p=probabilities))]
-                )
-                edges.append((u, v))
-                stats.new_vertices.append(v)
+        sources = self._first_visit_sources(steps, plan, distribution, rng)
+        edges = [(u, v) for u, (__, v) in zip(sources, steps)]
+        stats.new_vertices.extend(v for __, v in steps)
         if broadcast:
             self._charge_broadcast_phase(ledger, n, stats, len(edges))
         else:
@@ -340,6 +301,30 @@ class SamplerEngine:
                 total_words=len(edges) * 2 + n,
             )
         return edges, walk_orig, stats
+
+    def _first_visit_sources(
+        self,
+        steps: list[tuple[int, int]],
+        plan: PlacementPlan,
+        distribution: Callable[[int, int], tuple[np.ndarray, np.ndarray]],
+        rng: np.random.Generator,
+    ) -> list[int]:
+        """Algorithm 4's sampled source ``u`` of each ``(prev, v)`` step.
+
+        Each step's distribution is memoized in the plan across draws,
+        and the phase's edges share one uniform vector, each resolved
+        against its step's cumulative distribution.
+        """
+        if not steps:
+            return []
+        sources = []
+        for (prev, v), uniform in zip(steps, rng.random(len(steps))):
+            neighbors, cdf = plan.first_visit_cdf(
+                prev, v, partial(distribution, prev, v)
+            )
+            index = int(cdf.searchsorted(uniform * cdf[-1], "right"))
+            sources.append(int(neighbors[min(index, len(cdf) - 1)]))
+        return sources
 
     def _charge_broadcast_phase(
         self,
@@ -429,19 +414,21 @@ class SamplerEngine:
         return numerics
 
     def _attach_plan(self, key, numerics: PhaseNumerics) -> None:
-        """Ensure a batched-mode entry carries a placement plan.
+        """Ensure a phase's numerics entry carries a placement plan.
 
         The plan hangs off the cache entry (same lifetime, same key), so
         every engine sharing the entry -- across draws, variants, and
         sessions -- shares one classification. Touched plans are
         remembered for the end-of-run disk spill.
         """
-        if self.placement_mode != "batched":
-            return
         if numerics.plan is None:
             numerics.plan = PlacementPlan()
         if self.cache is not None:
             self._touched_plans[key] = numerics.plan
+
+    def _phase_plan(self, numerics: PhaseNumerics) -> PlacementPlan | None:
+        """The plan this engine's walk runs over (always the entry's)."""
+        return numerics.plan
 
     def _spill_plans(self) -> None:
         """Write grown plans through to the disk tier (end of a run).
@@ -581,3 +568,30 @@ class SamplerEngine:
             ledger, self.graph.n, count=1, note="schur graph"
         )
         return transition, order
+
+
+class ReferenceEngine(SamplerEngine):
+    """Test oracle: the planless walk on the seed implementation's stream.
+
+    Never attaches or reads a :class:`PlacementPlan` -- not even one a
+    shared cache hands it -- so every decision is the per-decision
+    ``choice``/``permutation`` draw that reproduces pre-block-draw seed
+    trees. Same tree law and round model as :class:`SamplerEngine`,
+    different generator bits. Tests and benchmarks run it; the library
+    does not.
+    """
+
+    def _attach_plan(self, key, numerics: PhaseNumerics) -> None:
+        return None
+
+    def _phase_plan(self, numerics: PhaseNumerics) -> None:
+        return None
+
+    def _first_visit_sources(self, steps, plan, distribution, rng):
+        # One choice per edge over the freshly computed distribution.
+        sources = []
+        for prev, v in steps:
+            neighbors, probabilities = distribution(prev, v)
+            choice = rng.choice(len(neighbors), p=probabilities)
+            sources.append(int(neighbors[int(choice)]))
+        return sources

@@ -92,8 +92,6 @@ def sample_midpoint(
     rng: np.random.Generator,
     *,
     count: int = 1,
-    plan=None,
-    level: int | None = None,
 ) -> list[int]:
     """Sample ``count`` i.i.d. midpoints between (p, q) (Formula 1).
 
@@ -102,28 +100,16 @@ def sample_midpoint(
     unnormalized law over v is ``half_power[p, v] * half_power[v, q]``.
     Raises :class:`WalkError` when the two-step return probability
     ``P^{delta}[p, q]`` is zero (such a gap cannot exist in a genuine
-    walk). ``plan``/``level`` optionally serve the law from a
-    :class:`~repro.core.placement_plan.PlacementPlan` memo -- the cached
-    vector is bit-equal to recomputation, so draws match either way.
+    walk).
     """
-    if plan is not None and level is not None:
-        # The plan memoizes the normalized law alongside the raw one, so
-        # repeat visitors skip the O(n) divide (bit-equal either way).
-        probabilities, total = plan.probabilities(level, p, q, half_power)
-        if total <= 0:
-            raise WalkError(
-                f"no vertex can be the midpoint between {p} and {q}: "
-                "inconsistent partial walk"
-            )
-    else:
-        distribution = matrix_row(half_power, p) * matrix_col(half_power, q)
-        total = distribution.sum()
-        if total <= 0:
-            raise WalkError(
-                f"no vertex can be the midpoint between {p} and {q}: "
-                "inconsistent partial walk"
-            )
-        probabilities = distribution / total
+    distribution = matrix_row(half_power, p) * matrix_col(half_power, q)
+    total = distribution.sum()
+    if total <= 0:
+        raise WalkError(
+            f"no vertex can be the midpoint between {p} and {q}: "
+            "inconsistent partial walk"
+        )
+    probabilities = distribution / total
     draws = rng.choice(len(probabilities), size=count, p=probabilities)
     return [int(v) for v in draws]
 
@@ -135,27 +121,23 @@ def _fill_level(
     *,
     plan=None,
     level: int | None = None,
-    contract: str = "v1",
 ) -> PartialWalk:
     """Insert one midpoint into every gap, halving the spacing.
 
-    Under ``contract="v2"`` the level consumes one uniform block (one
-    generator invocation for all gaps) and resolves each gap by
-    ``searchsorted`` against its cumulative law; ``"v1"`` keeps the
-    per-gap ``rng.choice`` bit-stream of the sequential reference.
+    With a :class:`~repro.core.placement_plan.PlacementPlan` (and the
+    level's half-spacing exponent) the level consumes one uniform block
+    (one generator invocation for all gaps) and resolves each gap by
+    ``searchsorted`` against the plan's cumulative law; without one it
+    keeps the per-gap ``rng.choice`` bit-stream of the sequential
+    reference.
     """
     if walk.spacing % 2 != 0:
         raise WalkError(f"cannot halve odd spacing {walk.spacing}")
     pairs = walk.pairs()
-    if contract == "v2":
+    if plan is not None:
         cdfs: list[np.ndarray] = []
         for p, q in pairs:
-            if plan is not None and level is not None:
-                cdf, total = plan.cdf(level, p, q, half_power)
-            else:
-                law = matrix_row(half_power, p) * matrix_col(half_power, q)
-                total = law.sum()
-                cdf = np.cumsum(law)
+            cdf, total = plan.cdf(level, p, q, half_power)
             if total <= 0:
                 raise WalkError(
                     f"no vertex can be the midpoint between {p} and {q}: "
@@ -171,9 +153,7 @@ def _fill_level(
         return PartialWalk(walk.spacing // 2, new_vertices)
     new_vertices = [walk.vertices[0]]
     for p, q in pairs:
-        midpoint = sample_midpoint(
-            half_power, p, q, rng, plan=plan, level=level
-        )[0]
+        midpoint = sample_midpoint(half_power, p, q, rng)[0]
         new_vertices.append(midpoint)
         new_vertices.append(q)
     return PartialWalk(walk.spacing // 2, new_vertices)

@@ -48,6 +48,7 @@ from scipy import stats as scipy_stats
 
 from repro.analysis.tv import expected_tv_noise, tv_distance
 from repro.engine.ensemble import EnsembleEngine
+from repro.engine.runner import SamplerEngine
 from repro.graphs.core import WeightedGraph
 from repro.graphs.spanning import TreeKey, uniform_tree_distribution
 from repro.walks.sequential import aldous_broder_tree, wilson_tree
@@ -187,9 +188,15 @@ def draw_trees(
     variant: str = "approximate",
     seed: int = 0,
     jobs: int = 1,
+    engine_cls=SamplerEngine,
 ) -> list[TreeKey]:
-    """``count`` i.i.d. trees through the ensemble engine (seeded)."""
-    result = EnsembleEngine(graph, config, variant=variant).sample_ensemble(
+    """``count`` i.i.d. trees through the ensemble engine (seeded).
+
+    ``engine_cls`` swaps in another engine class -- the planless
+    ``ReferenceEngine`` oracle -- for the draws.
+    """
+    engine = engine_cls(graph, config, variant=variant)
+    result = EnsembleEngine(engine).sample_ensemble(
         count, seed=seed, jobs=jobs
     )
     return result.trees

@@ -59,8 +59,9 @@ class TestSampleCommand:
     def test_json_golden(self, capsys):
         """Golden test: the --json envelope for a pinned seed/instance.
 
-        Regenerated once for the v2 RNG contract (see tests/README.md);
-        the v1 bit stream remains pinned via --rng-contract v1 below.
+        Regenerated once for the v2 block-draw stream (see
+        tests/README.md); the pre-v2 stream stays pinned by the
+        ReferenceEngine oracle goldens in test_placement_batched.
         """
         code = main([
             "sample", "--family", "cycle", "--n", "6", "--json",
@@ -80,22 +81,6 @@ class TestSampleCommand:
             [0, 5], [1, 2], [2, 3], [3, 4], [4, 5]
         ]
         assert payload["result"]["rounds"] == 1110
-        assert payload["result"]["phases"] == 5
-
-    def test_json_golden_v1_contract(self, capsys):
-        """The pre-v2 bit stream stays reachable: --rng-contract v1
-        reproduces the exact envelope pinned before the contract change."""
-        code = main([
-            "sample", "--family", "cycle", "--n", "6", "--json",
-            "--seed", "0", "--ell", "1024", "--rng-contract", "v1",
-        ])
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["meta"]["rng_contract"] == "v1"
-        assert payload["result"]["tree"] == [
-            [0, 5], [1, 2], [2, 3], [3, 4], [4, 5]
-        ]
-        assert payload["result"]["rounds"] == 1111
         assert payload["result"]["phases"] == 5
 
     def test_deterministic_given_seed(self, capsys):
@@ -241,24 +226,7 @@ class TestCacheDirFlag:
 
 
 class TestPlacementModeFlag:
-    def test_meta_carries_default_mode(self, capsys):
-        assert main(["sample", "--family", "cycle", "--n", "6", "--json",
-                     "--ell", "1024"]) == 0
-        meta = json.loads(capsys.readouterr().out)["meta"]
-        assert meta["placement_mode"] == "batched"
-
-    def test_reference_override_is_byte_identical(self, capsys):
-        """Reference mode always runs the v1 stream, so byte identity
-        with batched holds exactly when batched is pinned to v1 too."""
-        base = ["sample", "--family", "complete", "--n", "9", "--json",
-                "--seed", "4", "--ell", "1024"]
-        assert main(base + ["--rng-contract", "v1"]) == 0
-        batched = json.loads(capsys.readouterr().out)
-        assert main(base + ["--placement-mode", "reference"]) == 0
-        reference = json.loads(capsys.readouterr().out)
-        assert reference["meta"]["placement_mode"] == "reference"
-        assert reference["result"]["tree"] == batched["result"]["tree"]
-        assert reference["result"]["rounds"] == batched["result"]["rounds"]
+    """The placement-mode flag is retired: one walk runs everywhere."""
 
     def test_rejects_unknown_mode(self, capsys):
         with pytest.raises(SystemExit):
@@ -267,20 +235,13 @@ class TestPlacementModeFlag:
 
 
 class TestRngContractFlag:
+    """The RNG-contract flag is retired; meta keeps the constant label."""
+
     def test_meta_carries_default_contract(self, capsys):
         assert main(["sample", "--family", "cycle", "--n", "6", "--json",
                      "--ell", "1024"]) == 0
         meta = json.loads(capsys.readouterr().out)["meta"]
         assert meta["rng_contract"] == "v2"
-
-    def test_reference_mode_reports_effective_v1(self, capsys):
-        """v2 block draws need a plan; reference mode therefore always
-        reports (and runs) the v1 contract even when v2 is requested."""
-        assert main(["sample", "--family", "cycle", "--n", "6", "--json",
-                     "--ell", "1024", "--placement-mode", "reference",
-                     "--rng-contract", "v2"]) == 0
-        meta = json.loads(capsys.readouterr().out)["meta"]
-        assert meta["rng_contract"] == "v1"
 
     def test_rejects_unknown_contract(self, capsys):
         with pytest.raises(SystemExit):

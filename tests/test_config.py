@@ -68,13 +68,13 @@ class TestResolution:
 
     def test_rho_cbrt_for_exact(self):
         config = SamplerConfig()
-        assert config.resolve_rho(64, exact_variant=True) == 4
-        assert config.resolve_rho(1000, exact_variant=True) == 10
+        assert config.resolve_rho(64, variant="exact") == 4
+        assert config.resolve_rho(1000, variant="exact") == 10
 
     def test_rho_never_below_two(self):
         config = SamplerConfig()
         assert config.resolve_rho(2) == 2
-        assert config.resolve_rho(3, exact_variant=True) == 2
+        assert config.resolve_rho(3, variant="exact") == 2
 
     def test_rho_override(self):
         assert SamplerConfig(rho=7).resolve_rho(1000) == 7
@@ -100,13 +100,30 @@ class TestOneAlgorithmPerStep:
     """Each Outline 3 step has one production path; alternates are oracles."""
 
     def test_field_count_ratchet(self):
-        assert len(fields(SamplerConfig)) <= 20
+        assert len(fields(SamplerConfig)) <= 18
 
     def test_retired_selectors_rejected(self):
         for name in ("matching_method", "mcmc_steps", "schur_method",
-                     "shortcut_method"):
+                     "shortcut_method", "placement_mode", "rng_contract"):
             with pytest.raises(TypeError):
                 SamplerConfig(**{name: None})
+
+    def test_reference_engine_confined_to_runner(self):
+        """Grep-clean: the planless walk oracle is defined in
+        engine/runner.py, named by no other library module (package
+        ``__init__`` files included), and exported from neither
+        ``repro.engine`` nor ``repro``."""
+        import repro
+        import repro.engine
+
+        offenders = [
+            path.relative_to(SRC).as_posix()
+            for path in SRC.rglob("*.py")
+            if re.search(r"\bReferenceEngine\b", path.read_text())
+        ]
+        assert offenders == ["engine/runner.py"], offenders
+        assert not hasattr(repro, "ReferenceEngine")
+        assert not hasattr(repro.engine, "ReferenceEngine")
 
     def test_oracles_referenced_only_where_defined(self):
         """Grep-clean: no library module selects an oracle alternate."""

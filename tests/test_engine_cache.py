@@ -211,11 +211,9 @@ class TestCacheBehavior:
     def test_fingerprint_excludes_exactly_the_non_numerics_fields(self):
         """Every config field is either fingerprinted or non-numerics.
 
-        The exclusion set is cache sizing/location knobs plus
-        placement_mode -- the walk-layer execution mode reads phase
-        numerics but never changes their bytes (and the modes draw
-        byte-identical trees), so batched and reference sessions must
-        share one cache entry per subset.
+        The exclusion set is the cache sizing/location knobs: they
+        change which entries are kept, never their bytes, so sessions
+        differing only there must share one cache entry per subset.
         """
         from dataclasses import fields
 
@@ -232,17 +230,26 @@ class TestCacheBehavior:
             else:
                 assert appears, field.name
 
-    def test_placement_mode_shares_cache_entries(self):
-        """Flipping placement_mode may not partition a shared cache."""
-        from repro.engine.cache import config_fingerprint
+    def test_reference_engine_on_warm_shared_cache(self):
+        """The planless oracle reads a cache the production engine warmed
+        (plans attached) without partitioning it or changing its draws."""
+        from repro.engine.runner import ReferenceEngine
 
-        batched = SamplerConfig(ell=1 << 9)
-        reference = SamplerConfig(ell=1 << 9, placement_mode="reference")
-        assert config_fingerprint(
-            batched, resolved_ell=1 << 9, linalg_backend="dense"
-        ) == config_fingerprint(
-            reference, resolved_ell=1 << 9, linalg_backend="dense"
+        cache = DerivedGraphCache(max_entries=32)
+        g = graphs.cycle_graph(9)
+        config = SamplerConfig(ell=1 << 9)
+        SamplerEngine(g, config, cache=cache).run(np.random.default_rng(1))
+        assert any(e.plan is not None for e in cache._entries.values())
+        hits_before = cache.hits
+        warm = ReferenceEngine(g, config, cache=cache).run(
+            np.random.default_rng(2)
         )
+        assert cache.hits > hits_before  # phase-1 entry shared
+        cold = ReferenceEngine(
+            g, SamplerConfig(ell=1 << 9, derived_cache=False)
+        ).run(np.random.default_rng(2))
+        assert warm.tree == cold.tree
+        assert warm.rounds == cold.rounds
 
     def test_byte_budget_evicts_lru(self):
         cache = DerivedGraphCache(max_entries=64, max_bytes=100)

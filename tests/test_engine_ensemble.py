@@ -37,6 +37,19 @@ class TestSampleEnsemble:
             r.rounds for r in multi.results
         ]
 
+    def test_subclassed_engine_fans_out_as_itself(self):
+        """Workers rebuild the driver engine's class: the planless oracle
+        draws its own trees at jobs=2, not the production engine's."""
+        from repro.engine.runner import ReferenceEngine
+
+        g = graphs.erdos_renyi_graph(12, rng=np.random.default_rng(2))
+        oracle = EnsembleEngine(ReferenceEngine(g, FAST))
+        single = oracle.sample_ensemble(4, seed=5, jobs=1)
+        multi = oracle.sample_ensemble(4, seed=5, jobs=2)
+        assert single.trees == multi.trees
+        production = EnsembleEngine(g, FAST).sample_ensemble(4, seed=5, jobs=1)
+        assert production.trees != single.trees
+
     def test_seed_reproducibility(self):
         g = graphs.cycle_with_chord(10)
         a = sample_tree_ensemble(g, 5, config=FAST, seed=9, jobs=1)

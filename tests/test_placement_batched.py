@@ -3,15 +3,12 @@
 Three layers of guarantees, strongest first:
 
 1. **Byte identity**: for every registered graph family and both sampler
-   variants, ``placement_mode="batched"`` under the v1 RNG contract and
-   ``"reference"`` draw byte-identical trees and identical round ledgers
-   from the same seed (the plan only memoizes deterministic structure
-   and, under v1, consumes the RNG in the reference order). Reference
-   mode itself is pinned to hardcoded seed trees captured before the
-   batched engine existed. The v2 block contract deliberately consumes
-   different bits, so batched+v2 is pinned to its *own* golden trees,
-   regenerated exactly once when the contract shipped (see
-   tests/README.md for the regeneration policy).
+   variants, the planless ``ReferenceEngine`` oracle reproduces the
+   hardcoded seed trees captured before the batched engine existed, and
+   the production engine (plan-bearing, block draws) reproduces its
+   *own* golden trees, regenerated exactly once when block draws shipped
+   (see tests/README.md for the regeneration policy). A warm plan never
+   changes which bits a draw consumes.
 2. **DP equivalence**: a prepared contingency DP sampled repeatedly
    agrees draw-for-draw with a fresh build under matched RNG states, for
    the dispatching build and for each DP evaluator constructed directly.
@@ -34,7 +31,8 @@ from repro import graphs
 from repro.core import placement_plan
 from repro.core.config import SamplerConfig
 from repro.core.placement_plan import PlacementPlan
-from repro.engine.runner import SamplerEngine
+from repro.engine.ensemble import EnsembleEngine
+from repro.engine.runner import ReferenceEngine, SamplerEngine
 from repro.graphs.families import build_family
 from repro.matching.permanent import _compositions
 from repro.matching.sampler import (
@@ -63,9 +61,8 @@ def _one_shot(evaluator: str, instance: ClassifiedBipartite, rng):
 
 # Seed trees drawn from the pre-batched-engine code (fast-audit config,
 # family built at n=12 with rng seed 2026, session/request seed 11).
-# placement_mode="reference" must keep producing them byte-for-byte --
-# and because batched mode under rng_contract="v1" consumes the RNG
-# identically, so must it.
+# The planless ReferenceEngine oracle must keep producing them
+# byte-for-byte.
 GOLDEN_SEED_TREES = {
     ("barbell", "approximate"): ((0, 1), (0, 3), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 11), (9, 10), (10, 11)),
     ("bipartite", "approximate"): ((0, 9), (1, 10), (2, 11), (3, 9), (4, 9), (4, 10), (5, 10), (6, 9), (7, 9), (7, 11), (8, 11)),
@@ -91,10 +88,10 @@ GOLDEN_SEED_TREES = {
     ("wheel", "exact"): ((0, 5), (0, 6), (0, 7), (0, 8), (0, 9), (0, 11), (1, 2), (2, 3), (3, 4), (4, 5), (10, 11)),
 }
 
-# Seed trees for the v2 block-draw contract (same instances and seeds as
-# above, placement_mode="batched" + rng_contract="v2"). Regenerated
-# exactly once when the v2 contract shipped; any future edit to these
-# values is a contract break and needs the tests/README.md sign-off.
+# Seed trees for the production block-draw walk (same instances and
+# seeds as above, default SamplerEngine). Regenerated exactly once when
+# block draws shipped; any future edit to these values is a seed break
+# and needs the tests/README.md sign-off.
 GOLDEN_SEED_TREES_V2 = {
     ("barbell", "approximate"): ((0, 1), (1, 2), (1, 3), (3, 4), (4, 5), (5, 6), (6, 7), (7, 8), (8, 9), (9, 11), (10, 11)),
     ("bipartite", "approximate"): ((0, 11), (1, 10), (2, 9), (2, 10), (3, 10), (4, 11), (5, 10), (5, 11), (6, 11), (7, 9), (8, 10)),
@@ -121,69 +118,36 @@ GOLDEN_SEED_TREES_V2 = {
 }
 
 
-def _draw(family: str, variant: str, mode: str, contract: str = "v1"):
+def _draw(family: str, variant: str, engine_cls=SamplerEngine):
     graph, __ = build_family(family, 12, np.random.default_rng(2026))
-    config = SamplerConfig(
-        ell=1 << 10, placement_mode=mode, rng_contract=contract
-    )
-    engine = SamplerEngine(graph, config, variant=variant)
+    engine = engine_cls(graph, SamplerConfig(ell=1 << 10), variant=variant)
     result = engine.run(np.random.default_rng(np.random.SeedSequence(11)))
     return result
 
 
 class TestByteIdentity:
-    """Batched+v1 == reference == seed, tree by tree and round by round."""
+    """Oracle == pre-v2 seed, production == v2 seed, tree by tree."""
 
     @pytest.mark.parametrize(
         "family,variant", sorted(GOLDEN_SEED_TREES), ids=lambda v: str(v)
     )
     def test_reference_mode_reproduces_seed_trees(self, family, variant):
-        result = _draw(family, variant, "reference")
+        result = _draw(family, variant, ReferenceEngine)
         assert result.tree == GOLDEN_SEED_TREES[(family, variant)]
-
-    @pytest.mark.parametrize(
-        "family,variant", sorted(GOLDEN_SEED_TREES), ids=lambda v: str(v)
-    )
-    def test_batched_v1_matches_reference(self, family, variant):
-        batched = _draw(family, variant, "batched", "v1")
-        reference = _draw(family, variant, "reference")
-        assert batched.tree == reference.tree
-        assert batched.rounds == reference.rounds
-        assert (
-            batched.ledger.rounds_by_category()
-            == reference.ledger.rounds_by_category()
-        )
-        # ...and both equal the pinned seed tree.
-        assert batched.tree == GOLDEN_SEED_TREES[(family, variant)]
 
     @pytest.mark.parametrize(
         "family,variant", sorted(GOLDEN_SEED_TREES_V2), ids=lambda v: str(v)
     )
     def test_batched_v2_reproduces_v2_seed_trees(self, family, variant):
-        result = _draw(family, variant, "batched", "v2")
+        result = _draw(family, variant)
         assert result.tree == GOLDEN_SEED_TREES_V2[(family, variant)]
 
-    def test_batched_matches_reference_across_draw_sequences(self):
-        """Plan reuse across sequential draws never perturbs the stream."""
-        graph = graphs.complete_graph(10)
-        trees = {}
-        for mode in ("batched", "reference"):
-            engine = SamplerEngine(
-                graph,
-                SamplerConfig(
-                    ell=1 << 8, placement_mode=mode, rng_contract="v1"
-                ),
-            )
-            rng = np.random.default_rng(7)
-            trees[mode] = [engine.run(rng).tree for __ in range(8)]
-        assert trees["batched"] == trees["reference"]
-
     def test_v2_draws_independent_of_plan_warmth(self):
-        """A warm plan must never change which bits a v2 draw consumes:
-        the k-th draw from a long-lived engine equals the k-th draw from
-        a fresh engine fed the identical generator state."""
+        """A warm plan must never change which bits a draw consumes: the
+        k-th draw from a long-lived engine equals the k-th draw from a
+        fresh engine fed the identical generator state."""
         graph = graphs.complete_graph(10)
-        config = SamplerConfig(ell=1 << 8, rng_contract="v2")
+        config = SamplerConfig(ell=1 << 8)
         warm_engine = SamplerEngine(graph, config)
         rng = np.random.default_rng(7)
         warm = [warm_engine.run(rng).tree for __ in range(6)]
@@ -425,48 +389,49 @@ class TestPlanPersistence:
         assert entry.plan.law_hits > 0
 
     def test_reference_mode_spills_no_plans(self, tmp_path):
+        from repro.api import preset_config
+        from repro.engine.store import PLAN_BLOB
+
+        graph = graphs.complete_graph(16)
+        config = preset_config(
+            "fast-bench", ell=1 << 8, cache_dir=str(tmp_path)
+        )
+        EnsembleEngine(ReferenceEngine(graph, config)).sample_ensemble(
+            2, seed=5, jobs=1
+        )
+        assert list(tmp_path.glob("blobs/*/meta.json"))
+        assert not list(tmp_path.glob(f"blobs/*/{PLAN_BLOB}"))
+
+    def test_reference_engine_ignores_loaded_plans(self, tmp_path):
+        """The oracle warm-starting from production spills gets plans
+        handed to it by the disk tier; it must neither read nor grow
+        them, so its trees equal a cache-less oracle's."""
         from repro.api import EnsembleRequest, Session, preset_config
         from repro.engine.store import PLAN_BLOB
 
         graph = graphs.complete_graph(16)
         config = preset_config(
-            "fast-bench",
-            ell=1 << 8,
-            cache_dir=str(tmp_path),
-            placement_mode="reference",
+            "fast-bench", ell=1 << 8, cache_dir=str(tmp_path)
         )
         Session(graph, config, seed=0).run(
             EnsembleRequest(count=2, seed=5, jobs=1)
         )
-        assert not list(tmp_path.glob(f"blobs/*/{PLAN_BLOB}"))
-
-    def test_reference_mode_never_loads_plan_blobs(self, tmp_path):
-        """A reference session warm-starting from batched spills must not
-        pay for (or retain) plans it can never use."""
-        from repro.api import EnsembleRequest, Session, preset_config
-        from repro.engine.store import PLAN_BLOB
-
-        graph = graphs.complete_graph(16)
-        batched = preset_config(
-            "fast-bench", ell=1 << 8, cache_dir=str(tmp_path)
-        )
-        Session(graph, batched, seed=0).run(
-            EnsembleRequest(count=2, seed=5, jobs=1)
-        )
         assert list(tmp_path.glob(f"blobs/*/{PLAN_BLOB}"))
-        reference = preset_config(
-            "fast-bench",
-            ell=1 << 8,
-            cache_dir=str(tmp_path),
-            placement_mode="reference",
-        )
-        session = Session(graph, reference, seed=0)
-        session.run(EnsembleRequest(count=1, seed=5, jobs=1))
-        engine = session.engine("approximate")
-        entry = session._cache.lookup(
+        engine = ReferenceEngine(graph, config)
+        warm = EnsembleEngine(engine).sample_ensemble(2, seed=5, jobs=1)
+        entry = engine.cache.lookup(
             (engine._cache_token, tuple(range(graph.n)))
         )
-        assert entry is not None and entry.plan is None
+        assert entry is not None and entry.plan is not None
+        assert entry.plan.law_hits == entry.plan.law_misses == 0
+        assert entry.plan.first_visit_hits == 0
+        cold = EnsembleEngine(
+            ReferenceEngine(
+                graph,
+                preset_config("fast-bench", ell=1 << 8, derived_cache=False),
+            )
+        ).sample_ensemble(2, seed=5, jobs=1)
+        assert warm.trees == cold.trees
 
     def test_plan_memos_evict_lru_when_full(self):
         """A full memo displaces its LRU entry instead of refusing."""
@@ -538,27 +503,3 @@ class TestPlanPersistence:
         )
         assert parallel.result.trees == serial.result.trees
 
-
-class TestSessionSurface:
-    """The resolved mode is visible to API and CLI consumers."""
-
-    def test_meta_carries_placement_mode(self):
-        from repro.api import SampleRequest, Session, preset_config
-
-        graph = graphs.cycle_graph(8)
-        response = Session(
-            graph, preset_config("fast-audit"), seed=0
-        ).run(SampleRequest(seed=0))
-        assert response.meta["placement_mode"] == "batched"
-        response = Session(
-            graph,
-            preset_config("fast-audit", placement_mode="reference"),
-            seed=0,
-        ).run(SampleRequest(seed=0))
-        assert response.meta["placement_mode"] == "reference"
-
-    def test_unknown_placement_mode_rejected(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError, match="placement mode"):
-            SamplerConfig(placement_mode="turbo")

@@ -7,13 +7,13 @@ Covers the failure surfaces the batched rewrite must preserve:
 - degenerate single-class instances take the closed-form path (no
   randomness) and still reject infeasible weights;
 - the ``_DP_STATE_BUDGET`` guard falls back to the Appendix 5.3
-  per-pair-multiset placement -- same law, tested end to end in both
-  placement modes (previously untested);
+  per-pair-multiset placement -- same law, tested end to end in the
+  production engine and the planless ``ReferenceEngine`` oracle;
 - the int64 mixed-radix overflow guard in the vectorized DP falls back
   to the reference recursion (previously untested);
 - the Section 5.2 precision floor still aborts into the brute-force
-  sequential fill identically in both modes (exercising the plan-aware
-  ``_fill_level`` path).
+  sequential fill, on the plan-aware block-draw ``_fill_level`` path
+  and on the oracle's per-decision one.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import pytest
 
 from repro import graphs
 from repro.core.config import SamplerConfig
-from repro.engine.runner import SamplerEngine
+from repro.engine.runner import ReferenceEngine, SamplerEngine
 from repro.errors import MatchingError
 from repro.graphs.spanning import is_spanning_tree
 from repro.matching.sampler import (
@@ -43,6 +43,13 @@ EVALUATORS = {
     "vectorized": _PreparedVectorized,
     "reference": _PreparedReference,
 }
+
+# The production engine and the planless oracle, under the ids the
+# placement modes they replace carried.
+ENGINES = [
+    pytest.param(SamplerEngine, id="batched"),
+    pytest.param(ReferenceEngine, id="reference"),
+]
 
 
 class TestInfeasibleInstances:
@@ -136,14 +143,12 @@ class TestDegenerateSingleClassInstances:
         with pytest.raises(MatchingError, match="permanent is zero"):
             sample_contingency_table(instance, np.random.default_rng(0))
 
-    @pytest.mark.parametrize("mode", ["batched", "reference"])
-    def test_degenerate_single_pair_phase_end_to_end(self, mode):
+    @pytest.mark.parametrize("engine_cls", ENGINES)
+    def test_degenerate_single_pair_phase_end_to_end(self, engine_cls):
         """A 2-path's phases put every midpoint position in one pair
-        class -- the trivial-table path end to end, in both modes."""
+        class -- the trivial-table path end to end, in both engines."""
         graph = graphs.path_graph(2)
-        engine = SamplerEngine(
-            graph, SamplerConfig(ell=1 << 4, placement_mode=mode)
-        )
+        engine = engine_cls(graph, SamplerConfig(ell=1 << 4))
         result = engine.run(np.random.default_rng(0))
         assert is_spanning_tree(graph, result.tree)
 
@@ -158,18 +163,15 @@ class TestStateBudgetFallback:
         estimate = _dp_cost_estimate(huge, [1, 3, 5])
         assert estimate > 1e18  # saturated, not overflowed
 
-    @pytest.mark.parametrize("mode", ["batched", "reference"])
-    def test_budget_fallback_draws_valid_trees(self, mode, monkeypatch):
+    @pytest.mark.parametrize("engine_cls", ENGINES)
+    def test_budget_fallback_draws_valid_trees(self, engine_cls, monkeypatch):
         """With the budget forced to 1 every placement takes the
-        Appendix 5.3 per-pair path; trees stay valid and both modes
-        agree (the fallback sits before any plan involvement)."""
+        Appendix 5.3 per-pair path; trees stay valid in both engines."""
         import repro.core.placement as placement
 
         monkeypatch.setattr(placement, "_DP_STATE_BUDGET", 1)
         graph = graphs.complete_graph(8)
-        engine = SamplerEngine(
-            graph, SamplerConfig(ell=1 << 6, placement_mode=mode)
-        )
+        engine = engine_cls(graph, SamplerConfig(ell=1 << 6))
         rng = np.random.default_rng(5)
         trees = [engine.run(rng).tree for __ in range(4)]
         for tree in trees:
@@ -223,44 +225,32 @@ class TestRadixOverflowFallback:
 
 
 class TestPrecisionFloorFallback:
-    @pytest.mark.parametrize("mode", ["batched", "reference"])
-    def test_brute_force_fallback_matches_across_modes(self, mode):
+    def test_brute_force_fallback_in_oracle(self):
         """An absurd normalizer floor forces the Section 5.2 brute-force
-        sequential fill (the plan-aware _fill_level path); both modes
-        must still draw the same valid trees. Pinned to the v1 contract:
-        cross-mode byte identity is exactly the v1 guarantee (v2 block
-        draws consume different bits by design)."""
+        sequential fill on the oracle's planless per-decision path; it
+        still draws valid trees, and the same seed draws the same tree
+        whether or not the engine's cache is warm."""
         graph = graphs.complete_graph(6)
         config = SamplerConfig(
             ell=1 << 6,
-            placement_mode=mode,
-            rng_contract="v1",
             normalizer_floor_exponent=0.001,  # floor ~ 1: always trips
         )
-        engine = SamplerEngine(graph, config)
+        engine = ReferenceEngine(graph, config)
         result = engine.run(np.random.default_rng(3))
         assert is_spanning_tree(graph, result.tree)
         assert sum(
             stats.brute_force_fallbacks for stats in result.phase_stats
         ) > 0
-        if not hasattr(self, "_trees"):
-            type(self)._trees = {}
-        type(self)._trees[mode] = result.tree
-        if len(type(self)._trees) == 2:
-            assert (
-                type(self)._trees["batched"] == type(self)._trees["reference"]
-            )
+        assert engine.run(np.random.default_rng(3)).tree == result.tree
 
     def test_brute_force_fallback_under_v2(self):
-        """The same floor trips under the v2 block contract: the
+        """The same floor trips on the production block-draw walk: the
         PrecisionError must surface *before* any randomness is consumed
         (the bank validates every pair's normalizer first), so the
         fallback rerun still draws a valid tree."""
         graph = graphs.complete_graph(6)
         config = SamplerConfig(
             ell=1 << 6,
-            placement_mode="batched",
-            rng_contract="v2",
             normalizer_floor_exponent=0.001,
         )
         engine = SamplerEngine(graph, config)

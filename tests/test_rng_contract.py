@@ -1,19 +1,20 @@
-"""The v2 batched-randomness contract: accounting, determinism, hygiene.
+"""Block-draw randomness (v2): accounting, determinism, hygiene.
 
-The v2 contract replaces per-decision ``rng.choice(p=...)`` calls with
-one uniform block per level (and per DP layer) resolved by
-``searchsorted`` against precomputed CDFs. Its load-bearing properties:
+The production walk replaces the seed implementation's per-decision
+``rng.choice(p=...)`` calls with one uniform block per level (and per DP
+layer) resolved by ``searchsorted`` against precomputed CDFs. Its
+load-bearing properties:
 
-1. **Stream accounting** -- a v2 draw makes O(levels + DP layers)
-   generator invocations, not O(pairs + columns): the whole point of the
-   contract. Counted with an instrumented ``Generator`` subclass.
+1. **Stream accounting** -- a draw makes O(levels + DP layers)
+   generator invocations, not O(pairs + columns) as the planless
+   ``ReferenceEngine`` oracle does: the whole point of block draws.
+   Counted with an instrumented ``Generator`` subclass.
 2. **Determinism** -- v2 draws are byte-identical across ensemble
    job counts, cache tiers (cold / warm-memory / warm-disk), linalg
    backends, and plan warmth. The bits consumed depend only on the
    (seed, config numerics) pair, never on how the plan was populated.
-3. **Normalize-once** -- plan-served laws are divided (v1) or cumsummed
-   (v2) exactly once and memoized; the old per-draw renormalization on
-   the hot path is pinned out.
+3. **Normalize-once** -- plan-served laws are cumsummed exactly once and
+   memoized; no per-draw renormalization runs on the hot path.
 4. **DP-seed persistence** -- the hottest prepared-DP CDF tables ride
    plan.npz to disk, and a restarted process serves its first block
    draws from the seeded memo without rebuilding the DP.
@@ -29,8 +30,7 @@ import pytest
 from repro import graphs
 from repro.core.config import SamplerConfig
 from repro.core.placement_plan import PlacementPlan
-from repro.engine.runner import SamplerEngine
-from repro.errors import ConfigError
+from repro.engine.runner import ReferenceEngine, SamplerEngine
 
 
 class CountingGenerator(np.random.Generator):
@@ -57,60 +57,20 @@ class CountingGenerator(np.random.Generator):
         return super().integers(*args, **kwargs)
 
 
-class TestConfigSurface:
-    def test_default_is_v2(self):
-        assert SamplerConfig().rng_contract == "v2"
-        assert SamplerConfig().effective_rng_contract == "v2"
-
-    def test_reference_mode_downgrades_to_v1(self):
-        """v2 block draws hang off the PlacementPlan; reference mode has
-        no plan, so its effective contract is always v1."""
-        config = SamplerConfig(placement_mode="reference", rng_contract="v2")
-        assert config.effective_rng_contract == "v1"
-
-    def test_explicit_v1_stays_v1(self):
-        config = SamplerConfig(rng_contract="v1")
-        assert config.effective_rng_contract == "v1"
-
-    def test_unknown_contract_rejected(self):
-        with pytest.raises(ConfigError, match="rng contract"):
-            SamplerConfig(rng_contract="v3")
-
-    def test_contract_excluded_from_numerics_fingerprint(self):
-        """v1 and v2 sessions share numerics cache entries: the contract
-        changes which bits the walk layer consumes, never the derived
-        graphs (same exclusion set as placement_mode)."""
-        from repro.engine.cache import NON_NUMERICS_FIELDS, config_fingerprint
-
-        assert "rng_contract" in NON_NUMERICS_FIELDS
-        v1 = config_fingerprint(
-            SamplerConfig(rng_contract="v1"),
-            resolved_ell=1 << 8,
-            linalg_backend="dense",
-        )
-        v2 = config_fingerprint(
-            SamplerConfig(rng_contract="v2"),
-            resolved_ell=1 << 8,
-            linalg_backend="dense",
-        )
-        assert v1 == v2
-
-
 class TestStreamAccounting:
     """v2 invocation counts scale with levels, not pairs or columns."""
 
-    def _count(self, contract: str) -> tuple[int, int]:
+    def _count(self, engine_cls) -> tuple[int, int]:
         graph = graphs.complete_graph(16)
-        config = SamplerConfig(ell=1 << 8, rng_contract=contract)
-        engine = SamplerEngine(graph, config)
+        engine = engine_cls(graph, SamplerConfig(ell=1 << 8))
         engine.run(np.random.default_rng(0))  # warm the plan first
         rng = CountingGenerator(1)
         result = engine.run(rng)
         return rng.calls, result.phases
 
     def test_v2_is_block_scaled_v1_is_decision_scaled(self):
-        v1_calls, __ = self._count("v1")
-        v2_calls, phases = self._count("v2")
+        v1_calls, __ = self._count(ReferenceEngine)
+        v2_calls, phases = self._count(SamplerEngine)
         # Structural ceiling: per phase, the v2 walk layer draws one
         # block per level for the midpoint bank, at most three blocks
         # per level for placement (DP table + expansion + multiset
@@ -118,16 +78,14 @@ class TestStreamAccounting:
         # (measured 87 calls against a 240 ceiling at these sizes).
         levels = int(math.log2(1 << 8)) + 2
         assert v2_calls <= phases * (4 * levels + 8)
-        # ...and the old contract pays per decision: the gap is the
+        # ...and the planless oracle pays per decision: the gap is the
         # speedup's source, so pin it wide (measured ~4.5x here).
         assert 3 * v2_calls < v1_calls
 
     def test_v2_counts_stable_across_warm_draws(self):
         """Plan warmth changes invocation counts by nothing at all."""
         graph = graphs.complete_graph(16)
-        engine = SamplerEngine(
-            graph, SamplerConfig(ell=1 << 8, rng_contract="v2")
-        )
+        engine = SamplerEngine(graph, SamplerConfig(ell=1 << 8))
         counts = []
         for seed in range(3):
             rng = CountingGenerator(seed)
@@ -148,7 +106,6 @@ class TestV2Determinism:
         config = preset_config(
             "fast-bench", ell=1 << 8, cache_dir=str(tmp_path)
         )
-        assert config.effective_rng_contract == "v2"
         parallel = Session(graph, config, seed=0).run(
             EnsembleRequest(count=4, seed=5, jobs=2)
         )
@@ -185,9 +142,7 @@ class TestV2Determinism:
         graph, __ = build_family(family, 20, np.random.default_rng(5))
         trees = {}
         for backend in ("dense", "sparse"):
-            config = SamplerConfig(
-                ell=1 << 8, rng_contract="v2", linalg_backend=backend
-            )
+            config = SamplerConfig(ell=1 << 8, linalg_backend=backend)
             engine = SamplerEngine(graph, config)
             rng = np.random.default_rng(11)
             results = [engine.run(rng) for __ in range(3)]
@@ -200,21 +155,11 @@ class TestV2Determinism:
 
 
 class TestNormalizeOnce:
-    """Plan laws normalize (v1) or cumsum (v2) exactly once, ever."""
+    """Plan laws cumsum exactly once, ever."""
 
     @staticmethod
     def _half(n=6, seed=3):
         return np.random.default_rng(seed).uniform(0.01, 1.0, size=(n, n))
-
-    def test_probabilities_memoized(self):
-        plan = PlacementPlan()
-        half = self._half()
-        first, total1 = plan.probabilities(3, 0, 1, half)
-        second, total2 = plan.probabilities(3, 0, 1, half)
-        assert second is first  # the divide ran exactly once
-        assert total1 == total2
-        law, total = plan.law(3, 0, 1, half)
-        np.testing.assert_array_equal(first, law / total)
 
     def test_cdf_memoized_and_unnormalized(self):
         plan = PlacementPlan()
@@ -224,42 +169,14 @@ class TestNormalizeOnce:
         assert second is first  # the cumsum ran exactly once
         law, law_total = plan.law(3, 0, 1, half)
         np.testing.assert_array_equal(first, np.cumsum(law))
-        assert total == law_total  # the Section 5.2 floor sees v1's float
+        assert total == law_total  # the Section 5.2 floor sees the law's sum
 
     def test_derived_memos_evict_with_their_law(self):
         plan = PlacementPlan(max_laws=1)
         half = self._half()
-        plan.probabilities(1, 0, 1, half)
         plan.cdf(1, 0, 1, half)
         plan.law(1, 0, 2, half)  # evicts (1, 0, 1)
-        assert (1, 0, 1) not in plan._probabilities
         assert (1, 0, 1) not in plan._cdfs
-
-    def test_sample_midpoint_shares_one_normalization(self):
-        """The fill hot path (sampler draw after draw over one plan)
-        reuses the single cached normalized vector -- the per-draw
-        renormalization regression this pins out."""
-        from repro.walks.fill import sample_midpoint
-
-        plan = PlacementPlan()
-        half = self._half()
-        rng = np.random.default_rng(0)
-        sample_midpoint(half, 0, 1, rng, count=3, plan=plan, level=2)
-        cached = plan._probabilities[(2, 0, 1)]
-        sample_midpoint(half, 0, 1, rng, count=3, plan=plan, level=2)
-        assert plan._probabilities[(2, 0, 1)] is cached
-        assert plan.law_hits >= 1
-
-    def test_unnormalized_input_normalizes_exactly_once(self):
-        """An unnormalized law (sum far from 1) yields correctly scaled
-        probabilities from the memo -- not a double divide, not none."""
-        plan = PlacementPlan()
-        half = self._half() * 37.0  # wildly unnormalized
-        probabilities, total = plan.probabilities(2, 1, 4, half)
-        assert abs(probabilities.sum() - 1.0) < 1e-12
-        again, __ = plan.probabilities(2, 1, 4, half)
-        assert again is probabilities
-        assert abs(again.sum() - 1.0) < 1e-12  # a second divide would shrink it
 
 
 class TestDpSeedPersistence:

@@ -204,6 +204,8 @@ class TestBudgets:
             {"elll": 1024},
             {"matching_method": "mcmc"},
             {"schur_method": "qr-product"},
+            {"placement_mode": "reference"},
+            {"rng_contract": "v1"},
         ):
             with pytest.raises(ServiceError, match="unknown config field"):
                 parse_service_envelope(envelope(config=override), LIMITS)
@@ -426,9 +428,9 @@ class TestEndpoints:
     def test_config_overrides_flow_through(self, server):
         response = server.run(
             GRAPH, {"request": "sample", "seed": 2},
-            config={"rng_contract": "v1", "ell": 1024},
+            config={"linalg_backend": "sparse", "ell": 1024},
         )
-        assert response.meta["rng_contract"] == "v1"
+        assert response.meta["linalg_backend"] == "sparse"
 
 
 class TestAdmissionAndFaults:

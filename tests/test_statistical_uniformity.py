@@ -3,24 +3,25 @@
 The placement rewrite (PlacementPlan + prepared contingency DPs) changes
 the one component whose correctness is *distributional*, so these tests
 draw real ensembles and compare the empirical tree distribution against
-Kirchhoff-exact probabilities -- for both ``placement_mode`` settings,
-both RNG contracts, and both sampler variants. (The v2 block contract
-re-derives every decision from inverse-CDF resolution, so it is gated on
-this harness rather than on byte identity with v1 -- the two contracts
-sample the same laws from different bits.) Thresholds follow the policy
+Kirchhoff-exact probabilities -- for the production engine, the
+planless ``ReferenceEngine`` oracle, and both sampler variants. (The
+production walk re-derives every decision from inverse-CDF block draws,
+so it is gated on this harness rather than on byte identity with the
+oracle -- the two sample the same laws from different bits.) Thresholds
+follow the policy
 documented in
 ``tests/statutil.py`` (fixed seeds, chi-square p-floor AND exact-TV
 noise bound).
 
 The Broadcast CC variant gets its own class: exact-law cells on three
-enumerable families for every (mode, contract) cell, two-sample
+enumerable families for both engines, two-sample
 homogeneity against the unicast variants, and oracle cross-validation
 (Wilson / Aldous-Broder from :mod:`repro.walks.sequential`) on a wheel
 graph past practical enumeration -- the two-sample extension of the
 harness documented in ``tests/statutil.py``.
 
 Fast cases run in tier-1; the heavier sweeps (K5's 125-tree support,
-weighted chord cycles, full mode x variant cross) carry the ``slow``
+weighted chord cycles, full engine x variant cross) carry the ``slow``
 marker and are additionally gated on ``REPRO_SLOW_TESTS=1`` -- the
 nightly CI job sets it, so tier-1 wall-clock stays bounded.
 """
@@ -34,6 +35,7 @@ import pytest
 
 from repro import graphs
 from repro.core.config import SamplerConfig
+from repro.engine.runner import ReferenceEngine, SamplerEngine
 from repro.graphs.families import build_family
 
 from statutil import (
@@ -53,16 +55,18 @@ run_slow = pytest.mark.skipif(
 )
 
 
-# The meaningful (placement_mode, rng_contract) cells: reference mode
-# always runs the v1 stream (no plan to hang block CDFs off), so the
-# grid is three cells, not four.
-MODE_CONTRACT = [("batched", "v2"), ("batched", "v1"), ("reference", "v1")]
+# The production engine (plan-bearing, block draws: "batched-v2") and
+# the planless oracle (per-decision stream: "reference-v1"); the ids are
+# the (placement mode, RNG contract) labels these cells carried when
+# both were config knobs.
+ENGINES = [
+    pytest.param(SamplerEngine, id="batched-v2"),
+    pytest.param(ReferenceEngine, id="reference-v1"),
+]
 
 
-def _config(mode: str, contract: str = "v2") -> SamplerConfig:
-    return SamplerConfig(
-        ell=FAST_ELL, placement_mode=mode, rng_contract=contract
-    )
+def _config() -> SamplerConfig:
+    return SamplerConfig(ell=FAST_ELL)
 
 
 def weighted_square() -> "graphs.WeightedGraph":
@@ -73,51 +77,51 @@ def weighted_square() -> "graphs.WeightedGraph":
 
 
 class TestTier1Uniformity:
-    """Fast cases: small supports, ~1-2k draws, every mode."""
+    """Fast cases: small supports, ~1-2k draws, both engines."""
 
-    @pytest.mark.parametrize("mode,contract", MODE_CONTRACT)
-    def test_k4_approximate(self, mode, contract):
+    @pytest.mark.parametrize("engine_cls", ENGINES)
+    def test_k4_approximate(self, engine_cls):
         graph = graphs.complete_graph(4)  # 16 spanning trees
         trees = draw_trees(
-            graph, 2000, config=_config(mode, contract),
+            graph, 2000, config=_config(), engine_cls=engine_cls,
             variant="approximate", seed=41,
         )
         assert_matches_tree_law(
-            graph, trees, label=f"k4/approx/{mode}/{contract}"
+            graph, trees, label=f"k4/approx/{engine_cls.__name__}"
         )
 
-    @pytest.mark.parametrize("mode,contract", MODE_CONTRACT)
-    def test_k4_exact_variant(self, mode, contract):
+    @pytest.mark.parametrize("engine_cls", ENGINES)
+    def test_k4_exact_variant(self, engine_cls):
         graph = graphs.complete_graph(4)
         trees = draw_trees(
-            graph, 1000, config=_config(mode, contract), variant="exact",
-            seed=42,
+            graph, 1000, config=_config(), engine_cls=engine_cls,
+            variant="exact", seed=42,
         )
         assert_matches_tree_law(
-            graph, trees, label=f"k4/exact/{mode}/{contract}"
+            graph, trees, label=f"k4/exact/{engine_cls.__name__}"
         )
 
-    @pytest.mark.parametrize("mode,contract", MODE_CONTRACT)
-    def test_cycle4(self, mode, contract):
+    @pytest.mark.parametrize("engine_cls", ENGINES)
+    def test_cycle4(self, engine_cls):
         graph = graphs.cycle_graph(4)  # 4 spanning trees
         trees = draw_trees(
-            graph, 1200, config=_config(mode, contract),
+            graph, 1200, config=_config(), engine_cls=engine_cls,
             variant="approximate", seed=43,
         )
         assert_matches_tree_law(
-            graph, trees, label=f"cycle4/{mode}/{contract}"
+            graph, trees, label=f"cycle4/{engine_cls.__name__}"
         )
 
-    @pytest.mark.parametrize("mode,contract", MODE_CONTRACT)
-    def test_weighted_square(self, mode, contract):
+    @pytest.mark.parametrize("engine_cls", ENGINES)
+    def test_weighted_square(self, engine_cls):
         """Weighted input: the law is weight-proportional, not uniform."""
         graph = weighted_square()
         trees = draw_trees(
-            graph, 1500, config=_config(mode, contract),
+            graph, 1500, config=_config(), engine_cls=engine_cls,
             variant="approximate", seed=44,
         )
         assert_matches_tree_law(
-            graph, trees, label=f"wsquare/{mode}/{contract}"
+            graph, trees, label=f"wsquare/{engine_cls.__name__}"
         )
 
 
@@ -136,21 +140,21 @@ class TestBroadcastUniformity:
     through the entire engine stack (registry dispatch, phase numerics,
     placement plans, broadcast charging), so the harness gates the
     wiring, not just the math: exact-law cells on three enumerable
-    families x every (mode, contract) cell, plus two-sample
+    families x both engines, plus two-sample
     cross-validation against the unicast variants and the sequential
     oracles on a wheel past practical enumeration.
     """
 
-    @pytest.mark.parametrize("mode,contract", MODE_CONTRACT)
+    @pytest.mark.parametrize("engine_cls", ENGINES)
     @pytest.mark.parametrize("family", sorted(FAMILIES))
-    def test_broadcast_matches_exact_law(self, family, mode, contract):
+    def test_broadcast_matches_exact_law(self, family, engine_cls):
         graph = FAMILIES[family]()
         trees = draw_trees(
-            graph, 1500, config=_config(mode, contract),
+            graph, 1500, config=_config(), engine_cls=engine_cls,
             variant="broadcast", seed=48,
         )
         assert_matches_tree_law(
-            graph, trees, label=f"{family}/broadcast/{mode}/{contract}"
+            graph, trees, label=f"{family}/broadcast/{engine_cls.__name__}"
         )
 
     @pytest.mark.parametrize("variant", ["approximate", "exact"])
@@ -158,19 +162,25 @@ class TestBroadcastUniformity:
         """Cross-variant two-sample gate on K4's 16-tree support."""
         graph = graphs.complete_graph(4)
         broadcast = draw_trees(
-            graph, 1500, config=_config("batched"), variant="broadcast",
+            graph, 1500, config=_config(), variant="broadcast",
             seed=53,
         )
         unicast = draw_trees(
-            graph, 1500, config=_config("batched"), variant=variant,
+            graph, 1500, config=_config(), variant=variant,
             seed=54,
         )
         assert_same_tree_law(
             broadcast, unicast, label=f"k4/broadcast-vs-{variant}"
         )
 
-    @pytest.mark.parametrize("contract", ["v1", "v2"])
-    def test_broadcast_vs_wilson_beyond_enumeration(self, contract):
+    @pytest.mark.parametrize(
+        "engine_cls",
+        [
+            pytest.param(ReferenceEngine, id="v1"),
+            pytest.param(SamplerEngine, id="v2"),
+        ],
+    )
+    def test_broadcast_vs_wilson_beyond_enumeration(self, engine_cls):
         """Oracle arm on a wheel whose tree count defeats enumeration.
 
         ``ell`` is raised past FAST_ELL here: a full-cover (rho = n)
@@ -178,22 +188,20 @@ class TestBroadcastUniformity:
         64-step walk or the Las-Vegas extension cap can trip.
         """
         graph, _ = build_family("wheel", 10, np.random.default_rng(3))
-        config = SamplerConfig(
-            ell=1 << 8, placement_mode="batched", rng_contract=contract
-        )
         sampled = draw_trees(
-            graph, 300, config=config, variant="broadcast", seed=49,
+            graph, 300, config=SamplerConfig(ell=1 << 8),
+            variant="broadcast", seed=49, engine_cls=engine_cls,
         )
         oracle = draw_oracle_trees(graph, 300, oracle="wilson", seed=50)
         assert_same_tree_law(
-            sampled, oracle, label=f"wheel10/broadcast-vs-wilson/{contract}"
+            sampled, oracle, label=f"wheel10/broadcast-vs-wilson/{engine_cls.__name__}"
         )
 
     def test_approximate_vs_aldous_broder_beyond_enumeration(self):
         """The unicast default against the other sequential oracle."""
         graph, _ = build_family("wheel", 10, np.random.default_rng(3))
         sampled = draw_trees(
-            graph, 300, config=_config("batched"), variant="approximate",
+            graph, 300, config=_config(), variant="approximate",
             seed=51,
         )
         oracle = draw_oracle_trees(
@@ -207,23 +215,23 @@ class TestBroadcastUniformity:
 @run_slow
 @pytest.mark.slow
 class TestNightlyUniformity:
-    """Heavy sweeps: larger supports and the full mode x variant cross."""
+    """Heavy sweeps: larger supports and the full engine x variant cross."""
 
-    @pytest.mark.parametrize("mode,contract", MODE_CONTRACT)
+    @pytest.mark.parametrize("engine_cls", ENGINES)
     @pytest.mark.parametrize("variant", ["approximate", "exact"])
-    def test_k5(self, mode, contract, variant):
+    def test_k5(self, engine_cls, variant):
         graph = graphs.complete_graph(5)  # 125 spanning trees
         trees = draw_trees(
-            graph, 6000, config=_config(mode, contract), variant=variant,
-            seed=45,
+            graph, 6000, config=_config(), engine_cls=engine_cls,
+            variant=variant, seed=45,
         )
         assert_matches_tree_law(
-            graph, trees, label=f"k5/{variant}/{mode}/{contract}"
+            graph, trees, label=f"k5/{variant}/{engine_cls.__name__}"
         )
 
-    @pytest.mark.parametrize("mode,contract", MODE_CONTRACT)
+    @pytest.mark.parametrize("engine_cls", ENGINES)
     @pytest.mark.parametrize("variant", ["approximate", "exact"])
-    def test_weighted_chord_cycle(self, mode, contract, variant):
+    def test_weighted_chord_cycle(self, engine_cls, variant):
         graph = graphs.WeightedGraph.from_edges(
             5,
             [
@@ -232,9 +240,9 @@ class TestNightlyUniformity:
             ],
         )
         trees = draw_trees(
-            graph, 5000, config=_config(mode, contract), variant=variant,
-            seed=46,
+            graph, 5000, config=_config(), engine_cls=engine_cls,
+            variant=variant, seed=46,
         )
         assert_matches_tree_law(
-            graph, trees, label=f"wchord/{variant}/{mode}/{contract}"
+            graph, trees, label=f"wchord/{variant}/{engine_cls.__name__}"
         )
